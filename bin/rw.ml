@@ -249,13 +249,10 @@ let query_cmd =
 (* batch                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let service_config ?(no_compiled = false) cache_size budget =
+let service_config cache_size budget =
   {
     Rw_service.Service.default_config with
     Rw_service.Service.cache_capacity = cache_size;
-    compiled_capacity =
-      (if no_compiled then 0
-       else Rw_service.Service.default_config.Rw_service.Service.compiled_capacity);
     budget;
   }
 
@@ -263,12 +260,9 @@ let read_query_lines = function
   | "-" -> In_channel.input_lines stdin
   | path -> In_channel.with_open_text path In_channel.input_lines
 
-let run_batch kb_path queries_path cache_size budget no_compiled jobs json
-    verbose =
+let run_batch kb_path queries_path cache_size budget jobs json verbose =
   let svc =
-    Rw_service.Service.create
-      ~config:(service_config ~no_compiled cache_size budget)
-      ()
+    Rw_service.Service.create ~config:(service_config cache_size budget) ()
   in
   match Rw_service.Service.load_kb_file svc kb_path with
   | Error msg ->
@@ -358,16 +352,6 @@ let budget_arg =
           "Per-query wall-clock budget. On expiry the request degrades to \
            the rules engine's provably-sound answer instead of blocking.")
 
-let no_compiled_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compiled" ]
-        ~doc:
-          "Disable the compiled-KB artifact cache: every query rebuilds \
-           the KB's statistical index and re-solves its maximum-entropy \
-           point from scratch. Answers are bit-identical either way; this \
-           flag exists for measurement and for bug isolation.")
-
 let batch_cmd =
   let doc = "evaluate a file or stream of queries against one resident KB" in
   let man =
@@ -384,13 +368,13 @@ let batch_cmd =
     (Cmd.info "batch" ~doc ~man ~exits:common_exits)
     Term.(
       const run_batch $ kb_arg $ queries_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ pool_jobs_arg $ json_arg $ verbose_arg)
+      $ pool_jobs_arg $ json_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve kb_path cache_size budget no_compiled store_path no_store jobs
+let run_serve kb_path cache_size budget store_path no_store jobs
     listen max_clients idle_timeout verbose =
   (* Replies own stdout; logging goes to stderr unconditionally. *)
   Logs.set_reporter (Logs_fmt.reporter ~app:Fmt.stderr ~dst:Fmt.stderr ());
@@ -428,8 +412,7 @@ let run_serve kb_path cache_size budget no_compiled store_path no_store jobs
   | Ok store -> (
     let svc =
       Rw_service.Service.create
-        ~config:(service_config ~no_compiled cache_size budget)
-        ?store ()
+        ~config:(service_config cache_size budget) ?store ()
     in
     let serve () =
       let code =
@@ -543,7 +526,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man ~exits:common_exits)
     Term.(
       const run_serve $ serve_kb_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ store_path_opt_arg $ no_store_arg $ pool_jobs_arg
+      $ store_path_opt_arg $ no_store_arg $ pool_jobs_arg
       $ listen_arg $ max_clients_arg $ idle_timeout_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -684,7 +667,7 @@ let session_request_of_line ~explain line =
           query F | log | stats)"
          line)
 
-let run_session kb_path script_path cache_size budget no_compiled store_path
+let run_session kb_path script_path cache_size budget store_path
     explain verbose =
   Logs.set_reporter (Logs_fmt.reporter ~app:Fmt.stderr ~dst:Fmt.stderr ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning));
@@ -703,8 +686,7 @@ let run_session kb_path script_path cache_size budget no_compiled store_path
   | Ok store -> (
     let svc =
       Rw_service.Service.create
-        ~config:(service_config ~no_compiled cache_size budget)
-        ?store ()
+        ~config:(service_config cache_size budget) ?store ()
     in
     let finish code =
       Option.iter Rw_store.Store.close store;
@@ -791,7 +773,7 @@ let session_cmd =
     (Cmd.info "session" ~doc ~man ~exits:common_exits)
     Term.(
       const run_session $ kb_arg $ script_arg $ cache_arg $ budget_arg
-      $ no_compiled_arg $ store_path_opt_arg $ session_explain_arg
+      $ store_path_opt_arg $ session_explain_arg
       $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -806,8 +788,10 @@ let run_compile kb_path json =
   | Ok kb ->
     let module C = Rw_compile.Compiled_kb in
     let c = C.compile kb in
-    let s = C.stats c in
+    (* Compiling solves nothing; walk the default schedule so the
+       description covers what queries against this KB will reuse. *)
     let profile = C.entropy_profile c in
+    let s = C.stats c in
     if json then begin
       let module J = Rw_service.Json in
       let opt_int = function Some n -> J.Int n | None -> J.Null in
@@ -852,7 +836,7 @@ let run_compile kb_path json =
       | None ->
         Fmt.pr "atoms      - (outside the fully-supported unary fragment)@.");
       if profile <> [] then begin
-        Fmt.pr "maxent     %d tolerance(s) pre-solved, %d infeasible@."
+        Fmt.pr "maxent     %d tolerance(s) solved, %d infeasible@."
           s.C.presolved s.C.infeasible;
         List.iter
           (fun (tol, h) ->
@@ -871,11 +855,12 @@ let compile_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Runs the one-time compilation pass the service layer performs \
-         behind $(b,rw serve)/$(b,rw batch): canonical digest, conjunct \
-         split, statistical-statement index, unary atom vocabulary, and \
-         the pre-solved maximum-entropy point at every tolerance of the \
-         τ̄-schedule (with its entropy profile). Useful for inspecting \
+        "Runs the compilation pass the service layer performs behind \
+         $(b,rw serve)/$(b,rw batch) — canonical digest, conjunct split, \
+         statistical-statement index, unary atom vocabulary — then \
+         solves the maximum-entropy point at every tolerance of the \
+         default τ̄-schedule (which queries otherwise fill on first \
+         demand) and reports its entropy profile. Useful for inspecting \
          what queries against this KB will reuse, and for timing the \
          compile itself.";
     ]
@@ -1100,7 +1085,9 @@ let run_series kb_path query_src sizes tol_scale =
             Fmt.epr "unary engine cannot handle this KB: %s@." why;
             raise Exit)
         sizes;
-      let a = Maxent_engine.estimate ~kb query in
+      let a =
+        Maxent_engine.estimate (Rw_compile.Compiled_kb.compile kb) query
+      in
       Fmt.pr "# N->inf asymptote: %a@." Answer.pp a;
       if !printed = 0 then 1 else 0)
 
@@ -1262,8 +1249,8 @@ let fuzz_cmd =
          applicable engines agree within tolerance, Pr(φ)+Pr(¬φ)=1, \
          canonically-equivalent variants get identical digests and answers, \
          cached answers match direct dispatch, exact finite-N series \
-         converge, the parser is total on mutated input, and compiled-KB \
-         artifacts leave answers bit-identical.";
+         converge, the parser is total on mutated input, and a fresh \
+         compiled-KB artifact answers bit-identically to a pre-warmed one.";
       `P
         "Failures are minimized by a greedy shrinker and printed as a \
          reproduction recipe; $(b,--corpus) additionally writes each \

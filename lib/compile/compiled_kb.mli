@@ -1,16 +1,17 @@
-(** Compiled knowledge bases.
+(** Compiled knowledge bases — the one engine path.
 
-    Every query against a KB used to re-derive the same machinery from
-    scratch: split the KB into conjuncts, recognise its statistical
-    statements, build the unary atom universe and ε-constraints, and —
-    most expensively — re-run the entropy-maximising solver for every
-    tolerance in the τ̄-schedule. All of that depends only on the KB
+    Everything an engine derives from a KB alone — its conjunct split,
+    statistical statements, unary atom universe and ε-constraints, and
+    most expensively the entropy-maximising point at each tolerance of
+    the τ̄-schedule — is a function of the KB, not of the query
     (Grove–Halpern–Koller: the maxent point over atom proportions is a
-    function of the constraints alone), so a serve/batch session
-    answering many queries over one KB can {e compile} the KB once and
-    share the artifact.
+    function of the constraints alone). Every engine therefore reads
+    it from one per-KB artifact: a serve/batch session shares one
+    artifact across all queries against its KB, and a one-off query
+    builds a throwaway artifact of its own.
 
-    [compile kb] performs the one-time pass and returns a {!t} holding:
+    [compile kb] does the cheap syntactic pass and returns a {!t}
+    holding:
 
     - the KB's canonical digest (cache key at the service layer),
     - its split conjuncts and the pre-indexed statistical statements
@@ -18,33 +19,37 @@
     - the two query-independent eventual-inconsistency pre-checks,
     - when the KB sits in the fully-supported unary fragment: the
       analysed {!Rw_unary.Analysis.parts}, the per-constant atom
-      bitsets, the pre-solved maxent point for every tolerance in the
-      τ̄-schedule (with its entropy profile), and memo tables for
-      further solves and for unary profile-counting tables,
+      bitsets, and memo tables for maxent solves and unary
+      profile-counting tables — empty until an engine first asks,
     - the KB's vocabulary (reused when merging with a query's).
+
+    Laziness: [compile] solves nothing. Each (tolerance) solve and
+    each (size, tolerance) profile table is computed on first demand
+    and memoised; since a solve depends only on the KB and the
+    tolerance, answers do not depend on which query filled a cell.
 
     Thread-safety: one artifact may be used concurrently from many
     pool domains. The memo tables are mutex-guarded and fill each
     (tolerance / size) cell exactly once.
 
-    Soundness: reuse is gated on {!compatible} — structural equality
-    of the per-query analysis against the compiled one — so engines
-    can always ask; an incompatible query silently falls back to the
-    from-scratch path and answers are identical either way. *)
+    Soundness: reuse is gated on structural equality of the per-query
+    analysis against the compiled one, so engines can always ask; an
+    incompatible query gets an unmemoised solve (or no table) and the
+    same answer. *)
 
 open Rw_logic
 open Rw_unary
 
 type t
 
-val compile : ?schedule:Tolerance.t list -> Syntax.formula -> t
-(** One-time compilation pass. [schedule] defaults to
-    {!default_schedule} and is pre-solved eagerly when the KB is in the
-    unary fragment. *)
+val compile : Syntax.formula -> t
+(** The compilation pass: digest, conjunct split, statistical index,
+    inconsistency pre-checks, unary analysis and vocabulary. Performs
+    no maxent solve — those fill the memo on first demand. *)
 
 val default_schedule : Tolerance.t list
-(** The τ̄-schedule pre-solved by default — the same schedule the
-    maxent engine walks, so its solves all hit the artifact. *)
+(** The τ̄-schedule the maxent engine walks by default, and the one
+    {!entropy_profile} reports on. *)
 
 val update : t -> Syntax.formula -> t * bool
 (** [update old kb] compiles an artifact for [kb] — a small delta of
@@ -54,13 +59,11 @@ val update : t -> Syntax.formula -> t * bool
     both KBs are in the unary fragment and pose the {e same
     optimisation problem} — equal atom universe, universal and
     statistical constraints; only the evidence about individuals
-    changed — the pre-solved maxent schedule and profile-table memos
-    are carried over instead of re-solved, which is sound because the
-    solver never reads the constant facts. Returns [(artifact,
-    carried)]; when the delta disturbs the problem the result is
-    exactly [compile ~schedule kb] (a full recompile, [carried =
-    false]). The old artifact is left untouched and remains valid for
-    the old KB. *)
+    changed — the solve and profile-table memos are carried over,
+    which is sound because the solver never reads the constant facts.
+    Returns [(artifact, carried)]; when the delta disturbs the problem
+    the result is exactly [compile kb] ([carried = false]). The old
+    artifact is left untouched and remains valid for the old KB. *)
 
 (** {1 Precomputed KB structure} *)
 
@@ -75,7 +78,6 @@ val matches : t -> Syntax.formula -> bool
     verify this before reusing an artifact. *)
 
 val vocab : t -> Vocab.t
-val conjuncts : t -> Syntax.formula list
 
 val stat_index : t -> (Syntax.formula * Stat.t option) list
 (** Each conjunct paired with its recognised statistical reading, in
@@ -84,30 +86,15 @@ val stat_index : t -> (Syntax.formula * Stat.t option) list
 val ground_inconsistent : t -> bool
 val degenerate_inconsistent : t -> bool
 
-val parts : t -> Analysis.parts option
-(** The compiled unary analysis, or [None] outside the fully-supported
-    fragment (e.g. a disjunctive KB). *)
-
-val allowed_atoms : t -> Atoms.Set.t option
-val fact_atom_sets : t -> (string * Atoms.Set.t) list
-val atom_count : t -> int option
-
 (** {1 Solver reuse} *)
 
-val compatible : t -> Analysis.parts -> bool
-(** Does a per-query analysis describe the same optimisation problem
-    as the compiled one (same universe, universals, statisticals and
-    constant facts; nothing unsupported)? *)
-
 val solve : t -> Analysis.parts -> Tolerance.t -> Solver.solution
-(** Memoised {!Rw_unary.Solver.solve} when [compatible], the plain
-    solver otherwise. Cached [Infeasible]/[Unsupported] outcomes are
-    re-raised, so failure behaviour matches the from-scratch path. *)
-
-val solver : t -> Analysis.parts -> (Tolerance.t -> Solver.solution) option
-(** [Some] memoised solve function when [compatible], else [None] —
-    the form engines thread through {!Rw_unary.Solver.conditional_distribution}
-    and the MC importance tilt. *)
+(** Memoised {!Rw_unary.Solver.solve} when the per-query analysis
+    describes the same optimisation problem as the compiled one (same
+    universe, universals, statisticals and constant facts; nothing
+    unsupported), an unmemoised solve otherwise. Cached
+    [Infeasible]/[Unsupported] outcomes are re-raised, so failure
+    behaviour does not depend on whether the cell was filled. *)
 
 val profile_table :
   t -> Analysis.parts -> n:int -> tol:Tolerance.t -> Profile.table option
@@ -116,23 +103,20 @@ val profile_table :
     precomputable (statistics mentioning constants, or too many
     satisfying profiles to store). *)
 
-(** {1 Pre-checks shared with the uncompiled path} *)
-
-val ground_contradiction : Syntax.formula list -> bool
-val degenerate_self_conditional : (Syntax.formula * Stat.t option) list -> bool
-
 (** {1 Observability} *)
 
 val compile_ms : t -> float
 
 val use : t -> int
 (** Record one consumption of the artifact and return the {e previous}
-    use count — 0 means this answer paid for the compile (a fresh
-    solve), >0 means the maxent point was reused. *)
+    use count — 0 means this answer was the artifact's first consumer
+    (it filled the memo), >0 means it could reuse earlier solves. *)
 
 val entropy_profile : t -> (Tolerance.t * float option) list
-(** Entropy of the pre-solved maxent point at each schedule tolerance
-    ([None] where infeasible or not in the unary fragment). *)
+(** Walk {!default_schedule} through the solve memo — solving every
+    tolerance no query has asked for yet — and return the entropy of
+    the maxent point at each ([None] where infeasible). [[]] outside
+    the unary fragment. *)
 
 type stats = {
   digest : string;
@@ -152,3 +136,6 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A snapshot. [presolved] / [infeasible] count the solve outcomes
+    memoised so far (both 0 right after {!compile}); [tables] counts
+    memoised profile tables. *)

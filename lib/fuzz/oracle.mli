@@ -27,9 +27,10 @@
       the trace's last engine-selected fact names the engine that
       signed the answer, and the [--explain-json] encoding survives a
       JSON round trip with that consistency intact;
-    - {b compiled}: dispatching with a pre-compiled KB artifact
+    - {b compiled}: dispatching against a fresh KB artifact
       ({!Rw_compile.Compiled_kb}) returns the bit-identical verdict
-      and interval of the from-scratch path, signed by the same
+      and interval of dispatching against one pre-warmed by another
+      query (its memoised solves now hits), signed by the same
       engine;
     - {b update}: a belief-change session ({!Rw_service.Service.update})
       fed a seeded mix of asserts, retracts and canonical no-ops —

@@ -84,11 +84,14 @@ let objective_grad cs lambdas rho p =
 (* Projected gradient descent with Armijo backtracking. The step size
    warm-starts from the previous iteration's accepted step (doubled),
    which keeps the line search to O(1) evaluations per iteration once
-   the right scale is found. *)
+   the right scale is found. Every iteration polls the request budget
+   ({!Rw_pool.Budget.check}), so a deadline can preempt a long solve
+   on any domain. *)
 let inner_solve cs lambdas rho p0 ~max_iters ~tol =
   let rec go p fp step0 iters =
     if iters >= max_iters then (p, iters)
     else begin
+      Rw_pool.Budget.check ();
       let grad = objective_grad cs lambdas rho p in
       let rec backtrack step =
         if step < 1e-14 then None
@@ -195,6 +198,7 @@ let solve_via_dual ~dim cs =
       let rec go lambda fl step0 iters =
         if iters >= 20000 then (lambda, iters)
         else begin
+          Rw_pool.Budget.check ();
           let g = dual_grad lambda in
           let rec backtrack step =
             if step < 1e-16 then None

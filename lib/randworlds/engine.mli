@@ -57,13 +57,14 @@ val infer :
     and a final "engine-selected" fact naming the engine whose answer
     is returned ({!Rw_trace.Trace.selected_engine} reads it back).
 
-    [?compiled] supplies a pre-compiled artifact for [kb]
-    ({!Rw_compile.Compiled_kb.compile}): engines reuse its memoised
-    maxent solves, profile tables, statistical index and vocabulary
-    instead of recomputing them, and the trace gains a "compiled-kb"
-    fact (digest, compile time, reused vs fresh maxent point). Answers
-    are bit-identical with or without it. An artifact whose KB does
-    not structurally match [kb] is ignored. *)
+    Every engine reads the KB through a compiled artifact
+    ({!Rw_compile.Compiled_kb}). [?compiled] supplies a shared one
+    for [kb]: engines reuse its memoised maxent solves, profile
+    tables, statistical index and vocabulary, and the trace gains a
+    "compiled-kb" fact (digest, compile time, first consumer vs
+    reused). Without it — or when its KB does not structurally match
+    [kb] — the call compiles a throwaway artifact and emits no such
+    fact. Answers are bit-identical either way. *)
 
 val degree_of_belief :
   ?options:options ->
@@ -74,8 +75,7 @@ val degree_of_belief :
   Answer.t
 (** The headline API: [Pr_∞(query | kb)] by the best applicable
     engine, credited to that engine in {!Instr}. [?trace] and
-    [?compiled] as in {!infer}; passing [None] (the default) costs
-    nothing on the hot path. *)
+    [?compiled] as in {!infer}. *)
 
 (** {2 Per-engine access}
 
@@ -111,4 +111,4 @@ val run :
     [Rw_model.Enum.Too_many_worlds], [Invalid_argument]) are mapped to
     [Answer.Not_applicable]. [?trace] records the engine's own facts
     plus an "engine-selected" fact marking the forced choice.
-    [?compiled] as in {!infer} — same answer, less recomputation. *)
+    [?compiled] as in {!infer}. *)

@@ -17,39 +17,19 @@
 
 open Rw_logic
 
-val default_tols : Tolerance.t list
-(** Alias of {!Rw_compile.Compiled_kb.default_schedule}: the engine
-    walks exactly the schedule a compiled artifact pre-solves. *)
-
-exception Outside_fragment of string
-(** KB or query outside the unary fragment; caught by {!estimate}. *)
-
-val belief_at :
-  ?compiled:Rw_compile.Compiled_kb.t ->
-  kb:Syntax.formula ->
-  query:Syntax.formula ->
-  Tolerance.t ->
-  float option
-(** The degree of belief at one fixed tolerance vector; [None] when
-    conditioning is impossible there.
-    @raise Outside_fragment outside the unary fragment.
-    @raise Rw_unary.Solver.Infeasible when the KB is inconsistent at
-    this tolerance. *)
-
 val estimate :
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
-(** The [τ̄ → 0] limit over the schedule. Never raises: fragment
+(** [estimate c query] — the [τ̄ → 0] limit over the schedule for the
+    KB of artifact [c], whose solve memo supplies every maxent point
+    the query's analysis shares with the KB's. Never raises: fragment
     violations yield [Not_applicable]; infeasibility along the whole
     schedule yields [Inconsistent]; non-convergence yields [No_limit]
     or a widened interval. Pass structured tolerance vectors (with
     per-index powers) to probe default priorities — Section 5.3's
     non-robustness ablation. [?trace] records the entropy-maximum
     profile (entropy, binding-constraint count, per-atom masses), the
-    per-tolerance beliefs, and the extrapolation verdict. [?compiled]
-    reuses a matching artifact's pre-solved maxent points; answers are
-    identical with or without it. *)
+    per-tolerance beliefs, and the extrapolation verdict. *)

@@ -47,7 +47,8 @@ let note_of ~tol ~outcome =
     tolerance that produced an estimate; the evidence for every grid
     point attempted, including starved ones, is in the notes. *)
 let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
-    ?(ns = [ 8; 16; 32 ]) ?tols ?compiled ?trace ~vocab ~kb query =
+    ?(ns = [ 8; 16; 32 ]) ?tols ?trace ~vocab c query =
+  let kb = Rw_compile.Compiled_kb.kb c in
   Rw_trace.Trace.span trace "mc" @@ fun () ->
   let tols =
     match tols with
@@ -56,15 +57,10 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
   in
   let ns_desc = List.sort_uniq (fun a b -> Stdlib.compare b a) ns in
   let cfg = config ~samples ~ci_width in
-  (* A compiled artifact supplies the memoised maxent solve behind the
+  (* The artifact supplies the memoised maxent solve behind the
      stratified rescue's importance tilt (the tilt is a function of the
-     KB and tolerance only). The proposal is identical, so the sample
-     stream — and the answer — do not change. *)
-  let tilt_solve =
-    Option.map
-      (fun c parts tol -> Rw_compile.Compiled_kb.solve c parts tol)
-      compiled
-  in
+     KB and tolerance only). *)
+  let tilt_solve = Rw_compile.Compiled_kb.solve c in
   (* Split one master generator per grid point so points are
      independent but jointly reproducible from the one seed. *)
   let master = Rw_mc.Prng.create seed in
@@ -76,7 +72,7 @@ let estimate ?(seed = default_seed) ?samples ?ci_width ?(jobs = 1)
           | n :: rest ->
             let seed = Int64.to_int (Rw_mc.Prng.bits64 master) land 0x3FFFFFFF in
             let o =
-              pr_n ~config:cfg ?pool ?tilt_solve ~seed ~vocab ~n ~tol ~kb query
+              pr_n ~config:cfg ?pool ~tilt_solve ~seed ~vocab ~n ~tol ~kb query
             in
             let attempt = (tol, o) in
             (match o with

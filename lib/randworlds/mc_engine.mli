@@ -35,13 +35,13 @@ val estimate :
   ?jobs:int ->
   ?ns:int list ->
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
   vocab:Vocab.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
-(** Estimate the double limit from an [(N, τ̄)] grid by sampling at the
+(** [estimate ~vocab c query] — estimate, for the KB of artifact [c],
+    the double limit from an [(N, τ̄)] grid by sampling at the
     largest domain size along a shrinking tolerance schedule. The
     result is the confidence interval at the smallest tolerance that
     produced an estimate ([Within]); when every tolerance starves, a
@@ -53,6 +53,6 @@ val estimate :
     sequentially rather than nesting fan-outs. [?trace] records one
     "mc-point" fact per grid attempt (sample counts, KB hits, per-point
     seed, CI — but no wall-clock, so traces too are jobs-invariant and
-    seed-deterministic) and the final interval verdict. [?compiled]
-    feeds the artifact's memoised maxent solve to the stratified
-    rescue's importance tilt; the sample stream is identical. *)
+    seed-deterministic) and the final interval verdict. The artifact's
+    memoised maxent solve feeds the stratified rescue's importance
+    tilt. *)

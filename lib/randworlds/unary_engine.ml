@@ -52,14 +52,15 @@ let series ~kb ~query ~ns ~tol =
       | None -> None)
     ns
 
-(** [estimate ?ns ?tols ?compiled ~kb query] — the double limit over a
+(** [estimate ?ns ?tols ?trace c query] — the double limit over a
     grid, with Aitken extrapolation of the inner [N→∞] limit at each
-    tolerance. [compiled] substitutes the artifact's precomputed
-    stat-satisfying profile tables for the full composition sweep at
-    each (N, τ̄); results are bit-identical with or without it.
+    tolerance, for the KB of artifact [c]. The artifact's memoised
+    stat-satisfying profile tables stand in for the full composition
+    sweep at each (N, τ̄) wherever they apply.
 
     @raise Profile.Unsupported outside the unary fragment. *)
-let estimate ?(ns = default_sizes) ?tols ?compiled ?trace ~kb query =
+let estimate ?(ns = default_sizes) ?tols ?trace c query =
+  let kb = Rw_compile.Compiled_kb.kb c in
   Trace.span trace "unary" @@ fun () ->
   let emit tag fields =
     match trace with None -> () | Some tr -> Trace.fact tr tag fields
@@ -139,11 +140,7 @@ let estimate ?(ns = default_sizes) ?tols ?compiled ?trace ~kb query =
           Rw_prelude.Floats.clamp01 (Float.max x2 far) )
       in
       let pr ~n ~tol =
-        let table =
-          match compiled with
-          | Some c -> Rw_compile.Compiled_kb.profile_table c parts ~n ~tol
-          | None -> None
-        in
+        let table = Rw_compile.Compiled_kb.profile_table c parts ~n ~tol in
         Profile.pr_n ?table parts ~query ~n ~tol
       in
       let inner_limit tol =

@@ -31,17 +31,17 @@ val series :
 val estimate :
   ?ns:int list ->
   ?tols:Tolerance.t list ->
-  ?compiled:Rw_compile.Compiled_kb.t ->
   ?trace:Rw_trace.Trace.t ->
-  kb:Syntax.formula ->
+  Rw_compile.Compiled_kb.t ->
   Syntax.formula ->
   Answer.t
-(** The double limit over a grid, with Aitken extrapolation of the
+(** [estimate c query] — the double limit over a grid for the KB of
+    artifact [c], with Aitken extrapolation of the
     inner [N → ∞] limit at each tolerance. Declines (rather than
     raising) outside the fragment or when the atom space is too large
     for exact counting. [?trace] records the kept size grid and
     tolerance floor, dropped tolerance steps, the per-tolerance inner
     limit with the method that produced it (richardson / bracket /
-    noise-hull / …), and the final limit verdict. [?compiled] swaps the
-    per-(N, τ̄) composition sweep for the artifact's precomputed
-    stat-satisfying profile tables; results are bit-identical. *)
+    noise-hull / …), and the final limit verdict. The artifact's
+    memoised stat-satisfying profile tables replace the per-(N, τ̄)
+    composition sweep wherever they apply; results are bit-identical. *)

@@ -458,7 +458,7 @@ let store_put t key (e : entry) =
     with Rw_prelude.Hook.Injected _ -> ())
 
 let degraded_answer ~kb ~budget q =
-  let a = Rules_engine.infer ~kb q in
+  let a = Rules_engine.infer (Rw_compile.Compiled_kb.compile kb) q in
   Answer.add_notes a
     [
       Printf.sprintf
@@ -474,7 +474,16 @@ let degraded_answer ~kb ~budget q =
    and find the winner's artifact). Digests identify KBs only up to
    canonical renaming, so a cache hit is verified structurally
    ({!Rw_compile.Compiled_kb.matches}) before reuse — a mismatch
-   recompiles for the actual KB and replaces the entry. *)
+   recompiles for the actual KB and replaces the entry.
+
+   [compile_shared] is the service's one compile site for artifacts it
+   keeps, and the only place the "compile.kb" fault point fires: the
+   throwaway artifacts engines build for themselves never raise
+   [Hook.Injected] out of a query. *)
+let compile_shared kb =
+  Rw_prelude.Hook.fire "compile.kb";
+  Rw_compile.Compiled_kb.compile kb
+
 let compiled_for t kb =
   if t.config.compiled_capacity <= 0 then None
   else begin
@@ -482,11 +491,7 @@ let compiled_for t kb =
     let digest = t.kb_digest in
     let module C = Rw_compile.Compiled_kb in
     let fresh () =
-      let c =
-        match t.config.engine_options.Engine.tols with
-        | Some schedule -> C.compile ~schedule kb
-        | None -> C.compile kb
-      in
+      let c = compile_shared kb in
       Lru.Sync.add t.compiled digest c;
       Atomic.incr t.compiles;
       t.compile_ms_total <- t.compile_ms_total +. C.compile_ms c;
@@ -502,8 +507,8 @@ let compiled_for t kb =
              | Some _ | None -> fresh ()))
     with Rw_prelude.Hook.Injected _ ->
       (* An injected compile failure degrades the tier, not the query:
-         the dispatch proceeds uncompiled, which by the compiled-KB
-         contract returns the bit-identical answer. *)
+         the dispatch builds a throwaway artifact of its own, which
+         returns the bit-identical answer. *)
       None
   end
 
@@ -643,8 +648,8 @@ let update ?src t action f =
       | [] ->
         let after = Canonical.digest kb_new in
         let module C = Rw_compile.Compiled_kb in
-        (* Artifact first: delta-aware recompile, carrying the maxent
-           schedule and memo tables across deltas that leave the
+        (* Artifact first: delta-aware recompile, carrying the solve
+           and profile-table memos across deltas that leave the
            optimisation problem untouched (evidence-only updates). *)
         let artifact, art_status =
           if t.config.compiled_capacity <= 0 then (None, "absent")
@@ -656,12 +661,12 @@ let update ?src t action f =
             in
             let art, carried =
               match old_art with
-              | Some old -> C.update old kb_new
-              | None -> (
-                ( (match t.config.engine_options.Engine.tols with
-                  | Some schedule -> C.compile ~schedule kb_new
-                  | None -> C.compile kb_new),
-                  false ))
+              | Some old ->
+                let art, carried = C.update old kb_new in
+                (* A delta that disturbs the problem is a real compile. *)
+                if not carried then Rw_prelude.Hook.fire "compile.kb";
+                (art, carried)
+              | None -> (compile_shared kb_new, false)
             in
             ignore (Lru.Sync.remove_if t.compiled (fun k _ -> k = before));
             Lru.Sync.add t.compiled after art;
@@ -674,7 +679,11 @@ let update ?src t action f =
             (Some art, if carried then "carried" else "recompiled")
           end
         in
-        (* The invalidation walk over the old digest's entries. *)
+        (* The invalidation walk over the old digest's entries, against
+           the new artifact (a throwaway one when the tier is off). *)
+        let recheck_art =
+          match artifact with Some a -> a | None -> C.compile kb_new
+        in
         let dvocab = Vocab.of_formulas delta in
         let prefix = before ^ "|" in
         let plen = String.length prefix in
@@ -683,7 +692,7 @@ let update ?src t action f =
           if not (Vocab.disjoint dvocab e.qvocab) then None
           else if not (rules_definitive e.answer) then None
           else begin
-            let a = Rules_engine.infer ?compiled:artifact ~kb:kb_new e.query in
+            let a = Rules_engine.infer recheck_art e.query in
             if a = e.answer then begin
               let key' =
                 after ^ "|" ^ String.sub key plen (String.length key - plen)

@@ -57,12 +57,13 @@
     free; the compiled tier makes {e distinct questions against the
     same KB} cheap, by reusing the one-time artifact (vocabulary,
     statistical index, memoised maxent solves, profile tables) across
-    every query that misses the answer tiers. The first query against
-    a KB compiles under its own request budget; under a parallel
-    batch a mutex makes compilation happen exactly once per KB.
-    Answers are bit-identical with the tier on or off
-    ({!Rw_compile.Compiled_kb}'s contract); [compiled_capacity = 0]
-    switches it off.
+    every query that misses the answer tiers. Compiling is cheap and
+    syntactic; the memoised solves fill on first demand, each under
+    the budget of the request that asked. Under a parallel batch a
+    mutex makes compilation happen exactly once per KB. With
+    [compiled_capacity = 0] no artifact is kept: every dispatch builds
+    a throwaway artifact of its own, and answers are bit-identical
+    either way.
 
     {b Belief-change sessions.} A loaded KB is a live object:
     {!update} asserts or retracts statements (at conjunct granularity,
@@ -80,9 +81,9 @@
     bit-identical to what a cold re-dispatch on the updated KB would
     compute. The compiled artifact is updated delta-aware too
     ({!Rw_compile.Compiled_kb.update}): evidence-only deltas carry the
-    pre-solved maxent schedule and memo tables over instead of
-    re-solving. Every mutation (including full {!load_kb} swaps)
-    appends to a {!session_log}; {!stats} aggregates the session
+    solve and profile-table memos over instead of re-solving. Every
+    mutation (including full {!load_kb} swaps) appends to a
+    {!session_log}; {!stats} aggregates the session
     counters. Like {!load_kb}, updates concurrent with in-flight
     queries are not supported on the raw API — the serve listener
     serialises them behind its write lock. *)
@@ -94,8 +95,8 @@ type config = {
   cache_capacity : int;  (** LRU entries; [0] disables caching *)
   compiled_capacity : int;
       (** compiled-KB artifacts kept resident (one per KB digest);
-          [0] disables the compiled tier entirely — every query
-          recomputes from scratch, as before the tier existed *)
+          [0] disables the compiled tier entirely — every dispatch
+          builds a throwaway artifact *)
   parallel_threshold : int;
       (** batches shorter than this run sequentially even when the
           caller asks for [jobs > 1]: pool spin-up and GC contention

@@ -5,7 +5,9 @@ let catalog =
     ("store.append", "store append fails before writing any byte");
     ("store.append.torn", "store append writes a partial record, then fails");
     ("store.sync", "store fsync fails");
-    ("compile.kb", "KB compilation fails; the query dispatches uncompiled");
+    ( "compile.kb",
+      "the service's artifact compile fails; the query dispatches on a \
+       throwaway artifact" );
     ("pool.submit", "parallel batch fan-out fails before any item runs");
   ]
 

@@ -18,9 +18,10 @@
       the next open truncates the torn tail.
     - [{"store.sync"}] — {!Rw_store.Store.sync}'s fsync fails (the
       [persist] op's failure mode).
-    - [{"compile.kb"}] — {!Rw_compile.Compiled_kb.compile} fails; the
-      service degrades the compiled tier for that query (dispatches
-      uncompiled) rather than failing the query.
+    - [{"compile.kb"}] — the service's compile of a shared artifact
+      fails; the service degrades the compiled tier for that query
+      (the engines build a throwaway artifact) rather than failing the
+      query.
     - [{"pool.submit"}] — the parallel batch fan-out fails before any
       item runs; the batch call raises and answers nothing.
 

@@ -4,22 +4,24 @@
 (* CRC-32 (IEEE 802.3, reflected — the zlib polynomial)               *)
 (* ------------------------------------------------------------------ *)
 
+(* Built at module initialisation, not behind [lazy]: the first
+   write-throughs of a pool-backed server run on several domains at
+   once, and forcing one [lazy] from two domains concurrently raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 (* [?crc] chains scans: the value is always finalized (xor-out
    applied), so chaining re-inverts on entry. *)
 let crc32 ?(crc = 0l) buf ~pos ~len =
-  let table = Lazy.force crc_table in
   let c = ref (Int32.lognot crc) in
   for i = pos to pos + len - 1 do
     let idx =
@@ -28,7 +30,7 @@ let crc32 ?(crc = 0l) buf ~pos ~len =
            (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i))))
            0xFFl)
     in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.lognot !c
 

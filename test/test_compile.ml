@@ -1,7 +1,9 @@
 (* Tests for the compiled-KB subsystem: artifact identity (digests),
-   answer invariance (compiled vs from-scratch dispatch), the service's
-   bounded artifact cache and its eviction, compile-once under a
-   parallel batch, and the compiled-kb trace provenance fact. *)
+   laziness (compiling solves nothing; queries fill only the memo
+   cells they ask for), answer invariance (fresh vs reused artifact),
+   the service's bounded artifact cache and its eviction, compile-once
+   under a parallel batch, and the compiled-kb trace provenance
+   fact. *)
 
 open Rw_logic
 open Randworlds
@@ -59,7 +61,10 @@ let test_artifact_contents () =
   (* Bird/Fly: 2 unary predicates → 4 atoms, one named constant. *)
   Alcotest.(check (option int)) "atoms" (Some 4) s.C.atoms;
   Alcotest.(check int) "constants" 1 s.C.constants;
-  Alcotest.(check int) "schedule pre-solved"
+  (* Walking the entropy profile solves the whole default schedule. *)
+  let profile = C.entropy_profile c in
+  let s = C.stats c in
+  Alcotest.(check int) "schedule solved"
     (List.length C.default_schedule)
     (s.C.presolved + s.C.infeasible);
   Alcotest.(check bool) "no infeasible tolerance" true (s.C.infeasible = 0);
@@ -70,15 +75,52 @@ let test_artifact_contents () =
         if not (Float.is_finite e) then
           Alcotest.fail "non-finite entropy in the profile"
       | None -> Alcotest.fail "missing entropy on a feasible tolerance")
-    (C.entropy_profile c)
+    profile
+
+(* ------------------------------------------------------------------ *)
+(* Laziness                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let solved c =
+  let s = C.stats c in
+  s.C.presolved + s.C.infeasible
+
+let test_compile_solves_nothing () =
+  let c = C.compile kb_a in
+  Alcotest.(check int) "nothing solved at compile" 0 (solved c);
+  Alcotest.(check int) "no solve attempted" 0 (C.stats c).C.solve_misses
+
+(* Theorem 5.6 answers Fly(Tweety) from the KB's own statistic: the
+   dispatch stops at the rules engine and no maxent cell is touched. *)
+let test_rules_answer_solves_nothing () =
+  let c = C.compile kb_a in
+  let a = Engine.degree_of_belief ~compiled:c ~kb:kb_a (parse "Fly(Tweety)") in
+  Alcotest.(check string) "rules signs" "rules" a.Answer.engine;
+  Alcotest.(check int) "still nothing solved" 0 (solved c)
+
+(* A maxent query over a two-tolerance schedule fills exactly those two
+   cells; asking again is all memo hits. *)
+let test_maxent_fills_asked_cells () =
+  let tols = [ Tolerance.uniform 0.04; Tolerance.uniform 0.02 ] in
+  let options = { Engine.default_options with Engine.tols = Some tols } in
+  let c = C.compile kb_a in
+  let q = parse "Fly(Tweety)" in
+  let a = Engine.run ~options ~compiled:c Engine.Maxent ~kb:kb_a q in
+  Alcotest.(check bool) "maxent answers" true (Answer.definitive a);
+  Alcotest.(check int) "two cells filled" 2 (solved c);
+  Alcotest.(check int) "two solves" 2 (C.stats c).C.solve_misses;
+  ignore (Engine.run ~options ~compiled:c Engine.Maxent ~kb:kb_a q);
+  Alcotest.(check int) "no new cell" 2 (solved c);
+  Alcotest.(check int) "no new solve" 2 (C.stats c).C.solve_misses
 
 (* ------------------------------------------------------------------ *)
 (* Answer invariance                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Dispatch with a compiled artifact must be bit-identical to the
-   from-scratch path — across the dispatcher and each engine that
-   consumes artifact state directly. *)
+(* Dispatch against a fresh artifact must be bit-identical to dispatch
+   against one reused across many queries (its memo cells filled by
+   whichever query asked first) — across the dispatcher and each
+   engine that consumes artifact state directly. *)
 let invariance_cases =
   [
     ("maxent point", kb_a, "Fly(Tweety)");
@@ -89,31 +131,32 @@ let invariance_cases =
   ]
 
 let test_dispatch_invariance () =
+  let shared_a = C.compile kb_a and shared_b = C.compile kb_b in
   List.iter
     (fun (name, kb, q) ->
       let query = parse q in
-      let compiled = C.compile kb in
-      let plain = Engine.degree_of_belief ~kb query in
-      let fast = Engine.degree_of_belief ~compiled ~kb query in
-      if not (result_eq plain.Answer.result fast.Answer.result) then
-        Alcotest.failf "%s: compiled dispatch changed the answer: %a vs %a"
-          name Answer.pp_result plain.Answer.result Answer.pp_result
-          fast.Answer.result;
+      let shared = if kb == kb_a then shared_a else shared_b in
+      let fresh = Engine.degree_of_belief ~kb query in
+      let reused = Engine.degree_of_belief ~compiled:shared ~kb query in
+      if not (result_eq fresh.Answer.result reused.Answer.result) then
+        Alcotest.failf "%s: reused artifact changed the answer: %a vs %a"
+          name Answer.pp_result fresh.Answer.result Answer.pp_result
+          reused.Answer.result;
       Alcotest.(check string)
-        (name ^ ": same engine") plain.Answer.engine fast.Answer.engine)
+        (name ^ ": same engine") fresh.Answer.engine reused.Answer.engine)
     invariance_cases
 
 let test_forced_engine_invariance () =
   let query = parse "Fly(Tweety)" in
-  let compiled = C.compile kb_a in
+  let shared = C.compile kb_a in
   List.iter
     (fun eid ->
-      let plain = Engine.run eid ~kb:kb_a query in
-      let fast = Engine.run ~compiled eid ~kb:kb_a query in
-      if not (result_eq plain.Answer.result fast.Answer.result) then
-        Alcotest.failf "engine %s: compiled run changed the answer: %a vs %a"
-          (Engine.id_name eid) Answer.pp_result plain.Answer.result
-          Answer.pp_result fast.Answer.result)
+      let fresh = Engine.run eid ~kb:kb_a query in
+      let reused = Engine.run ~compiled:shared eid ~kb:kb_a query in
+      if not (result_eq fresh.Answer.result reused.Answer.result) then
+        Alcotest.failf "engine %s: reused artifact changed the answer: %a vs %a"
+          (Engine.id_name eid) Answer.pp_result fresh.Answer.result
+          Answer.pp_result reused.Answer.result)
     Engine.all_ids
 
 (* A foreign artifact (compiled for a different KB) must be ignored,
@@ -121,12 +164,13 @@ let test_forced_engine_invariance () =
 let test_foreign_artifact_ignored () =
   let query = parse "Fly(Tweety)" in
   let wrong = C.compile kb_b in
-  let plain = Engine.degree_of_belief ~kb:kb_a query in
+  let fresh = Engine.degree_of_belief ~kb:kb_a query in
   let guarded = Engine.degree_of_belief ~compiled:wrong ~kb:kb_a query in
-  if not (result_eq plain.Answer.result guarded.Answer.result) then
+  if not (result_eq fresh.Answer.result guarded.Answer.result) then
     Alcotest.failf "foreign artifact changed the answer: %a vs %a"
-      Answer.pp_result plain.Answer.result Answer.pp_result
-      guarded.Answer.result
+      Answer.pp_result fresh.Answer.result Answer.pp_result
+      guarded.Answer.result;
+  Alcotest.(check int) "foreign artifact untouched" 0 (C.stats wrong).C.uses
 
 (* ------------------------------------------------------------------ *)
 (* Service artifact cache                                             *)
@@ -178,13 +222,24 @@ let test_eviction () =
   if result_eq a1.Answer.result b1.Answer.result then
     Alcotest.fail "distinct KBs unexpectedly share an answer"
 
+(* With the tier off every dispatch builds a throwaway artifact; the
+   "compile.kb" fault point belongs to the service's shared compile
+   only, so an armed point neither fires nor fails the query. *)
 let test_disabled_tier () =
   let config = { Service.default_config with Service.compiled_capacity = 0 } in
   let svc = Service.create ~config () in
   Service.load_kb svc kb_a;
-  (match Service.query svc (parse "Fly(Tweety)") with
+  let result, armed =
+    Fun.protect ~finally:Rw_prelude.Hook.disarm_all (fun () ->
+        Rw_prelude.Hook.arm "compile.kb";
+        let r = Service.query svc (parse "Fly(Tweety)") in
+        (r, Rw_prelude.Hook.armed ()))
+  in
+  (match result with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "query failed: %s" msg);
+  Alcotest.(check (list string)) "throwaway compile left the point armed"
+    [ "compile.kb" ] armed;
   Alcotest.(check bool) "stats omit the compiled tier" true
     ((Service.stats svc).Service.compiled = None)
 
@@ -195,7 +250,8 @@ let test_disabled_tier () =
 (* Twelve distinct queries fanned out on four domains: the artifact
    must be compiled exactly once (no duplicate solves, no torn
    artifact), and every answer must match the sequential
-   compiled-tier-off run. *)
+   compiled-tier-off run, where each dispatch builds a throwaway
+   artifact. *)
 let test_concurrent_compile_once () =
   let queries =
     List.map parse
@@ -242,8 +298,8 @@ let compiled_kb_fact events =
       | _ -> None)
     events
 
-(* The first answer against a KB pays the compile ("fresh-solve");
-   later distinct queries reuse the artifact ("reused"). *)
+(* The first answer against a KB is the artifact's first consumer
+   ("fresh-solve"); later distinct queries reuse it ("reused"). *)
 let test_trace_provenance () =
   let svc = Service.create () in
   Service.load_kb svc kb_a;
@@ -278,6 +334,12 @@ let suite =
   [
     Alcotest.test_case "distinct digests" `Quick test_distinct_digests;
     Alcotest.test_case "artifact contents" `Quick test_artifact_contents;
+    Alcotest.test_case "lazy: compile solves nothing" `Quick
+      test_compile_solves_nothing;
+    Alcotest.test_case "lazy: rules answer solves nothing" `Quick
+      test_rules_answer_solves_nothing;
+    Alcotest.test_case "lazy: maxent fills only the asked cells" `Quick
+      test_maxent_fills_asked_cells;
     Alcotest.test_case "dispatch invariance" `Quick test_dispatch_invariance;
     Alcotest.test_case "forced-engine invariance" `Quick
       test_forced_engine_invariance;

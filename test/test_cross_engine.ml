@@ -5,6 +5,7 @@
 open Rw_logic
 open Rw_prelude
 open Randworlds
+module Compiled_kb = Rw_compile.Compiled_kb
 
 let parse s =
   match Parser.formula s with
@@ -55,8 +56,8 @@ let prop_rules_vs_maxent_direct_inference =
     (fun inst ->
       let kb = di_kb inst in
       let query = parse "Q(Eric)" in
-      let rules = Rules_engine.infer ~kb query in
-      let maxent = Maxent_engine.estimate ~kb query in
+      let rules = Rules_engine.infer (Compiled_kb.compile kb) query in
+      let maxent = Maxent_engine.estimate (Compiled_kb.compile kb) query in
       match (Answer.point_value rules, Answer.point_value maxent) with
       | Some r, Some m -> Float.abs (r -. m) < 0.02
       | None, Some m -> (
@@ -80,7 +81,10 @@ let prop_profile_tracks_maxent =
       let kb = parse (Printf.sprintf "||Q(x) | C(x)||_x ~=_1 %.12g /\\ C(Eric)" alpha) in
       let query = parse "Q(Eric)" in
       let asymptote =
-        match Answer.point_value (Maxent_engine.estimate ~kb query) with
+        match
+          Answer.point_value
+            (Maxent_engine.estimate (Compiled_kb.compile kb) query)
+        with
         | Some v -> v
         | None -> QCheck.Test.fail_report "maxent declined"
       in

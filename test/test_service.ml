@@ -318,6 +318,41 @@ let test_budget_zero_degrades () =
     let st = Service.stats svc2 in
     Alcotest.(check int) "timeout counted" 1 st.Service.timeouts
 
+(* A maxent-routed query (two constants in one query: no theorem of
+   the rules engine applies, and they share a predicate, so the
+   independence split does not either) under a budget far shorter than
+   its solves. With [jobs 2] the service polls its deadline instead of
+   arming SIGALRM, so only the optimizer's own poll can stop the
+   solve; the answer must come back degraded, not computed. *)
+let test_budget_preempts_maxent () =
+  let svc =
+    Service.create
+      ~config:
+        {
+          Service.default_config with
+          Service.engine_options =
+            { Engine.default_options with Engine.jobs = 2 };
+        }
+      ()
+  in
+  Service.load_kb svc
+    (parse
+       "||Hep(x) | Jaun(x)||_x ~=_1 0.8 /\\ ||Hep(x) | Fever(x)||_x ~=_2 0.3 \
+        /\\ Jaun(Eric) /\\ Fever(Tom)");
+  let q = parse "Hep(Eric) /\\ Hep(Tom)" in
+  match Service.query ~budget:1e-6 svc q with
+  | Error msg -> Alcotest.failf "budgeted query failed: %s" msg
+  | Ok (a, o) ->
+    Alcotest.check origin "maxent solve preempted" Service.Degraded o;
+    Alcotest.(check string) "degraded answer is the rules engine's" "rules"
+      a.Answer.engine;
+    (* The expiry left no poisoned memo cell behind: unbudgeted, the
+       same service computes the answer. *)
+    let full, o2 = ask svc q in
+    Alcotest.check origin "recomputed without a budget" Service.Computed o2;
+    Alcotest.(check string) "maxent signs the full answer" "maxent"
+      full.Answer.engine
+
 let test_with_budget_alarm () =
   (* A genuinely expiring SIGALRM: spin (allocating, so the signal is
      delivered) until either the alarm fires or a 5 s failsafe. *)
@@ -709,6 +744,8 @@ let suite =
      test_zoo_service_matches_direct);
     ("service: zero budget degrades to rules engine", `Quick,
      test_budget_zero_degrades);
+    ("service: polled budget preempts a maxent solve", `Quick,
+     test_budget_preempts_maxent);
     ("service: SIGALRM budget expiry", `Quick, test_with_budget_alarm);
     ("service: no stale alarm after near-expiry request", `Quick,
      test_with_budget_no_stale_alarm);

@@ -278,6 +278,21 @@ let test_store_hit_trace () =
   | Error msg -> Alcotest.failf "restart query: %s" msg);
   Store.close t
 
+(* Regression: the checksum table used to sit behind a shared [lazy],
+   and two domains forcing it at once raised
+   [CamlinternalLazy.Undefined] — the first two concurrent
+   write-throughs of a fresh pool-backed server. Only first use can
+   race, so each attempt is a fresh process ({!Crc_first_touch}). *)
+let test_crc32_first_use_two_domains () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "crc_first_touch.exe"
+  in
+  for attempt = 1 to 20 do
+    match Unix.system (Filename.quote_command exe []) with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "attempt %d: two-domain first crc32 failed" attempt
+  done
+
 let suite =
   [
     ("store: shadowing writes and reopen", `Quick, test_persistence);
@@ -291,4 +306,6 @@ let suite =
       `Quick, test_concurrent_write_through );
     ("store+service: stored trace replays with hit-store provenance",
       `Quick, test_store_hit_trace);
+    ("store: crc32 first use from two domains", `Quick,
+     test_crc32_first_use_two_domains);
   ]
