@@ -549,14 +549,14 @@ let run_client addr_str retry =
     (* --retry covers the serve-startup race in scripts: keep trying
        to connect until the deadline instead of failing on the first
        refused/absent socket. *)
-    let deadline = Unix.gettimeofday () +. retry in
+    let deadline = Rw_prelude.Clock.now () +. retry in
     let rec connect () =
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       match Unix.connect fd sa with
       | () -> Ok fd
       | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () < deadline then begin
+        if Rw_prelude.Clock.now () < deadline then begin
           Unix.sleepf 0.05;
           connect ()
         end

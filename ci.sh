@@ -3,6 +3,16 @@
 # actually answer the paper's worked examples end to end.
 set -eu
 
+# One clock and one budget mechanism: every duration and deadline in
+# the library and the CLI reads the monotonic Rw_prelude.Clock, and a
+# request budget is a polled Rw_pool.Budget deadline. Neither the wall
+# clock nor a signal-based interval timer may come back.
+if grep -rniE 'Unix\.gettimeofday|setitimer|sigalrm' lib bin \
+  --include='*.ml' --include='*.mli'; then
+  echo "ci: wall-clock or interval-timer code in lib/ or bin/" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 

@@ -76,7 +76,6 @@ type unary_data = {
 }
 
 type t = {
-  digest : string;
   kb : Syntax.formula;
   vocab : Vocab.t;
   conjuncts : Syntax.formula list;
@@ -180,8 +179,7 @@ let profile_table t parts ~n ~tol =
    memo on first demand and every later query sharing the artifact
    reads it; the answer cannot depend on which query asked first. *)
 let compile kb =
-  let t0 = Unix.gettimeofday () in
-  let digest = Canonical.digest kb in
+  let t0 = Rw_prelude.Clock.now () in
   let vocab = Vocab.of_formula kb in
   let conjuncts = Analysis.split_conjuncts kb in
   let stat_index = List.map (fun f -> (f, Stat.of_conjunct f)) conjuncts in
@@ -205,9 +203,8 @@ let compile kb =
   in
   (* Timed after every field is built: record fields evaluate in an
      unspecified order. *)
-  let compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let compile_ms = (Rw_prelude.Clock.now () -. t0) *. 1000.0 in
   {
-    digest;
     kb;
     vocab;
     conjuncts;
@@ -243,7 +240,7 @@ let update old kb =
   let t = compile kb in
   match (old.unary, t.unary) with
   | Some u, Some u' when same_solve_problem u.parts u'.parts ->
-    (* The new artifact keeps its own digest, conjunct split,
+    (* The new artifact keeps its own conjunct split,
        statistical index, pre-checks and constant facts; only the solve
        and profile-table memos are carried over verbatim. *)
     let solutions, tables =
@@ -265,7 +262,6 @@ let update old kb =
 (* Accessors and observability                                        *)
 (* ------------------------------------------------------------------ *)
 
-let digest t = t.digest
 let kb t = t.kb
 
 (* Canonical digests identify KBs up to alpha/AC renaming, so two
@@ -329,7 +325,7 @@ let stats t =
           (ok, bad, Hashtbl.length u.tables))
   in
   {
-    digest = t.digest;
+    digest = Canonical.digest t.kb;
     conjunct_count = List.length t.conjuncts;
     stat_count = List.length (List.filter_map snd t.stat_index);
     atoms = atom_count t;

@@ -13,7 +13,6 @@
     [compile kb] does the cheap syntactic pass and returns a {!t}
     holding:
 
-    - the KB's canonical digest (cache key at the service layer),
     - its split conjuncts and the pre-indexed statistical statements
       the rules engine matches reference classes against,
     - the two query-independent eventual-inconsistency pre-checks,
@@ -43,7 +42,7 @@ open Rw_unary
 type t
 
 val compile : Syntax.formula -> t
-(** The compilation pass: digest, conjunct split, statistical index,
+(** The compilation pass: conjunct split, statistical index,
     inconsistency pre-checks, unary analysis and vocabulary. Performs
     no maxent solve — those fill the memo on first demand. *)
 
@@ -54,7 +53,7 @@ val default_schedule : Tolerance.t list
 val update : t -> Syntax.formula -> t * bool
 (** [update old kb] compiles an artifact for [kb] — a small delta of
     [old]'s KB — reusing [old] where the delta leaves it undisturbed.
-    The digest, conjunct split, statistical index and inconsistency
+    The conjunct split, statistical index and inconsistency
     pre-checks are always recomputed (cheap, purely syntactic). When
     both KBs are in the unary fragment and pose the {e same
     optimisation problem} — equal atom universe, universal and
@@ -66,9 +65,6 @@ val update : t -> Syntax.formula -> t * bool
     artifact is left untouched and remains valid for the old KB. *)
 
 (** {1 Precomputed KB structure} *)
-
-val digest : t -> string
-(** Canonical digest of the compiled KB ({!Rw_logic.Canonical.digest}). *)
 
 val kb : t -> Syntax.formula
 
@@ -120,6 +116,9 @@ val entropy_profile : t -> (Tolerance.t * float option) list
 
 type stats = {
   digest : string;
+      (** {!Rw_logic.Canonical.digest} of the KB, computed by {!stats}:
+          the artifact itself never hashes its KB (service caches key
+          on the digest they already hold) *)
   conjunct_count : int;
   stat_count : int;
   atoms : int option;

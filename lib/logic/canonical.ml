@@ -25,9 +25,9 @@ let rec permutations = function
 
 let has_duplicates xs = List.length (List.sort_uniq Stdlib.compare xs) <> List.length xs
 
-let rec flatten_and = function
-  | And (a, b) -> flatten_and a @ flatten_and b
-  | f -> [ f ]
+let flatten_and f =
+  let rec go acc = function And (a, b) -> go (go acc b) a | f -> f :: acc in
+  go [] f
 
 let rec flatten_or = function
   | Or (a, b) -> flatten_or a @ flatten_or b

@@ -216,16 +216,15 @@ let estimate ?(config = default_config) ?pool ?tilt_solve ~seed ~vocab ~n ~tol
   if not (Vocab.covers vocab kb && Vocab.covers vocab query) then
     invalid_arg "Estimator.estimate: vocabulary does not cover formulas";
   let master = Prng.create seed in
-  let t0 = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t0 in
+  let t0 = Clock.now () in
+  let elapsed () = Clock.now () -. t0 in
   let total_samples = ref 0 and total_hits = ref 0 in
   let uniform_acc = fresh_accum () in
   (* [proposal = None] while sampling uniformly. *)
   let proposal = ref None and acc = ref uniform_acc in
   (* One chunk, runnable on any domain: private generator, private
      scratch world, private accumulator. [Budget.check] keeps service
-     deadlines enforceable on worker domains, where SIGALRM cannot
-     reach. *)
+     deadlines enforceable on whichever domain runs the chunk. *)
   let run_chunk (size, rng, prop) =
     let world = World.create vocab n in
     let a = fresh_accum () in

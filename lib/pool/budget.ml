@@ -3,7 +3,7 @@
 exception Expired
 
 (* The tick counter amortises the clock read: with a deadline armed,
-   only every 64th poll pays for [gettimeofday]. Engines poll from
+   only every 64th poll pays for a clock read. Engines poll from
    per-sample loops whose bodies cost microseconds, so expiry is
    noticed within a few dozen samples. *)
 type state = { mutable deadline : float option; mutable tick : int }
@@ -17,7 +17,7 @@ let check () =
   | None -> ()
   | Some d ->
     st.tick <- st.tick + 1;
-    if st.tick land 63 = 0 && Unix.gettimeofday () > d then raise Expired
+    if st.tick land 63 = 0 && Rw_prelude.Clock.now () > d then raise Expired
 
 let current () = (Domain.DLS.get key).deadline
 
@@ -38,4 +38,4 @@ let with_inherited d f =
     Fun.protect ~finally:(fun () -> st.deadline <- saved) f
 
 let with_deadline ~seconds f =
-  with_inherited (Some (Unix.gettimeofday () +. seconds)) f
+  with_inherited (Some (Rw_prelude.Clock.now () +. seconds)) f

@@ -1,24 +1,22 @@
-(** Cooperative wall-clock budgets for worker domains.
+(** Cooperative request budgets: the service's one budget mechanism.
 
-    The service's original budget mechanism is a [SIGALRM] timer whose
-    handler raises from the next allocation point. Signals are
-    delivered to the {e process} and handled by whichever domain the
-    runtime picks — they cannot preempt a specific worker domain, so
-    under a domain pool an alarm-based budget silently stops firing
-    where the work actually runs.
-
-    This module is the domain-safe replacement: an absolute deadline
-    stored in domain-local state, polled explicitly ({!check}) from
-    the engines' inner sampling/enumeration loops. Expiry raises
-    {!Expired}, which unwinds to whoever installed the deadline — the
-    same control flow as the alarm, minus the signal.
+    A budget is an absolute deadline on {!Rw_prelude.Clock} (monotonic)
+    stored in domain-local state and polled explicitly ({!check}) from
+    the engines' inner loops — the maxent optimizer's iterations, the
+    enumerator's worlds, the Monte-Carlo sampler's draws and the
+    profile counter's profiles. Expiry raises {!Expired}, which unwinds
+    to whoever installed the deadline. Nothing is raised asynchronously,
+    so expiry can only surface at a poll, never inside a cache insert
+    or a memo fill between polls; and the mechanism works identically
+    on the main domain and on pool worker domains.
 
     Deadlines nest by narrowing: an inner [with_deadline] can only
-    shorten the time left, never extend an enclosing budget.
+    shorten the time left, never extend an enclosing budget, and an
+    inner expiry leaves a healthy outer deadline running.
 
-    {!Pool.map} propagates the submitting domain's deadline into every
-    task it runs, so a budget installed on the coordinating domain
-    bounds the whole fan-out. *)
+    {!Pool.map} and {!Pool.async} propagate the submitting domain's
+    deadline into every task they run, so a budget installed on the
+    coordinating domain bounds the whole fan-out. *)
 
 exception Expired
 (** Raised by {!check} once the current deadline has passed. *)
@@ -37,9 +35,9 @@ val with_deadline : seconds:float -> (unit -> 'a) -> 'a
     through {!check}: cooperative, not preemptive. *)
 
 val current : unit -> float option
-(** The current domain's absolute deadline (epoch seconds), if any —
-    what {!Pool} captures at task submission to inherit budgets across
-    domains. *)
+(** The current domain's absolute deadline ({!Rw_prelude.Clock}
+    seconds), if any — what {!Pool} captures at task submission to
+    inherit budgets across domains. *)
 
 val with_inherited : float option -> (unit -> 'a) -> 'a
 (** [with_inherited d f] installs absolute deadline [d] (narrowed

@@ -63,58 +63,70 @@ let split_symbols f =
   (List.map fst hard, Syntax.constants f)
 
 (* Theorem 5.27: try to split query = q1 ∧ q2 and KB = kb1 ∧ kb2 with
-   vocabularies disjoint except for (at most) one shared constant. *)
+   vocabularies disjoint except for (at most) one shared constant.
+
+   Union-find over the conjuncts, query first: one pass links each
+   conjunct to the first earlier conjunct sharing a predicate/function
+   symbol or a constant other than the single allowed one, so the cost
+   is linear in the total symbol count. A component's root is its
+   lowest index, which for a component holding query conjuncts is its
+   first query conjunct; groups come out in that order. *)
 let independence_split ~kb query =
   let qs = Rw_unary.Analysis.split_conjuncts query in
   if List.length qs < 2 then None
   else begin
-    let kbs = Rw_unary.Analysis.split_conjuncts kb in
-    let items = List.map (fun f -> (f, split_symbols f)) (qs @ kbs) in
-    (* Union-find over items: connect when sharing a predicate/function
-       symbol or sharing more than the single allowed constant. *)
-    let n = List.length items in
-    let arr = Array.of_list items in
+    let items = Array.of_list (qs @ Rw_unary.Analysis.split_conjuncts kb) in
+    let n = Array.length items and nq = List.length qs in
     let parent = Array.init n Fun.id in
-    let rec find i = if parent.(i) = i then i else find parent.(i) in
-    let union i j = parent.(find i) <- find j in
+    let rec find i =
+      let p = parent.(i) in
+      if p = i then i
+      else begin
+        let r = find p in
+        parent.(i) <- r;
+        r
+      end
+    in
+    let union i j =
+      let ri = find i and rj = find j in
+      if ri < rj then parent.(rj) <- ri else if rj < ri then parent.(ri) <- rj
+    in
     (* Only a single shared constant is covered by Theorem 5.27. *)
     let shared_allowed =
-      match Syntax.constants query with [ c ] -> [ c ] | _ -> []
+      match Syntax.constants query with [ c ] -> Some c | _ -> None
     in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let _, (hi, ci) = arr.(i) and _, (hj, cj) = arr.(j) in
-        let share_hard = List.exists (fun s -> List.mem s hj) hi in
-        let share_const =
-          List.exists (fun c -> List.mem c cj && not (List.mem c shared_allowed)) ci
-        in
-        if share_hard || share_const then union i j
-      done
+    let first = Hashtbl.create (2 * n) in
+    let link i key =
+      match Hashtbl.find_opt first key with
+      | Some j -> union i j
+      | None -> Hashtbl.add first key i
+    in
+    Array.iteri
+      (fun i f ->
+        let hard, consts = split_symbols f in
+        List.iter (link i) hard;
+        List.iter
+          (fun c -> if Some c <> shared_allowed then link i ("C:" ^ c))
+          consts)
+      items;
+    (* KB conjuncts in components with no query conjunct are ignored:
+       by Theorem 5.27 they multiply both numerator and denominator. *)
+    let q_part = Array.make nq [] and kb_part = Array.make nq [] in
+    for i = n - 1 downto 0 do
+      let r = find i in
+      if r < nq then
+        if i < nq then q_part.(r) <- items.(i) :: q_part.(r)
+        else kb_part.(r) <- items.(i) :: kb_part.(r)
     done;
-    (* Group query conjuncts by component. *)
-    let comp_of i = find i in
-    let q_indices = List.mapi (fun i _ -> i) qs in
-    let q_comps = List.sort_uniq Stdlib.compare (List.map comp_of q_indices) in
-    if List.length q_comps < 2 then None
-    else begin
-      let nq = List.length qs in
-      let groups =
-        List.map
-          (fun comp ->
-            let in_comp_q = ref [] and in_comp_kb = ref [] in
-            Array.iteri
-              (fun i (f, _) ->
-                if comp_of i = comp then
-                  if i < nq then in_comp_q := f :: !in_comp_q
-                  else in_comp_kb := f :: !in_comp_kb)
-              arr;
-            (conj (List.rev !in_comp_q), conj (List.rev !in_comp_kb)))
-          q_comps
-      in
-      (* KB conjuncts in components with no query conjunct are ignored:
-         by Theorem 5.27 they multiply both numerator and denominator. *)
-      Some groups
-    end
+    let groups =
+      List.filter_map
+        (fun r ->
+          if find r = r then
+            Some (conj q_part.(r), conj kb_part.(r))
+          else None)
+        (List.init nq Fun.id)
+    in
+    if List.length groups < 2 then None else Some groups
   end
 
 (* Trace emission helpers shared by the dispatch functions: [emit] is a
@@ -144,18 +156,23 @@ module Compiled_kb = Rw_compile.Compiled_kb
    Only a caller-supplied artifact is consumed: its use counter
    distinguishes the answer that filled the memo from answers reusing
    it, and the "compiled-kb" trace fact makes that visible to
-   [--explain]. A throwaway artifact leaves no trace. *)
+   [--explain]. A throwaway artifact leaves no trace. The KB digest
+   that fact reports is hashed only when a trace is being recorded. *)
 let artifact_for trace compiled ~kb =
   match compiled with
   | Some c when Compiled_kb.matches c kb ->
     let prior = Compiled_kb.use c in
-    let digest = Compiled_kb.digest c in
-    emit trace "compiled-kb"
-      [ ("digest", Trace.S (String.sub digest 0 (min 12 (String.length digest))));
-        ("compile_ms", Trace.F (Compiled_kb.compile_ms c));
-        ( "maxent_point",
-          Trace.S (if prior > 0 then "reused" else "fresh-solve") )
-      ];
+    (match trace with
+    | None -> ()
+    | Some tr ->
+      let digest = Canonical.digest kb in
+      let short = String.sub digest 0 (min 12 (String.length digest)) in
+      Trace.fact tr "compiled-kb"
+        [ ("digest", Trace.S short);
+          ("compile_ms", Trace.F (Compiled_kb.compile_ms c));
+          ( "maxent_point",
+            Trace.S (if prior > 0 then "reused" else "fresh-solve") )
+        ]);
     c
   | _ -> Compiled_kb.compile kb
 
@@ -377,9 +394,10 @@ and cross_check ~options ~trace ~vocab ~kb query answer =
     the call compiles a throwaway artifact. Answers are identical
     either way, only the memo hits differ. *)
 let degree_of_belief ?options ?compiled ?trace ~kb query =
-  let t0 = Instr.now () in
+  let t0 = Rw_prelude.Clock.now () in
   let answer = infer ?options ?compiled ?trace ~kb query in
-  Instr.record ~engine:answer.Answer.engine ~seconds:(Instr.now () -. t0);
+  Instr.record ~engine:answer.Answer.engine
+    ~seconds:(Rw_prelude.Clock.now () -. t0);
   answer
 
 (* ------------------------------------------------------------------ *)

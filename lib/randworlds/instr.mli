@@ -14,12 +14,10 @@
 type entry = {
   engine : string;  (** the engine named in the winning {!Answer.t} *)
   count : int;  (** dispatches resolved by this engine *)
-  seconds : float;  (** total wall-clock spent in those dispatches *)
+  seconds : float;
+      (** total elapsed {!Rw_prelude.Clock} seconds spent in those
+          dispatches *)
 }
-
-val now : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — shared so every layer
-    times with the same clock. *)
 
 val record : engine:string -> seconds:float -> unit
 (** Credit one dispatch to [engine]. Called by

@@ -1,6 +1,6 @@
 (** The serve loop — see the interface. *)
 
-open Randworlds
+module Clock = Rw_prelude.Clock
 
 let src = Logs.Src.create "rw.serve" ~doc:"rw serve request log"
 
@@ -73,9 +73,9 @@ let batch_reply ?id srcs results ms =
 let handle_request ?jobs:default_jobs service req =
   let id = Protocol.request_id req in
   let timed f =
-    let t0 = Instr.now () in
+    let t0 = Clock.now () in
     let r = f () in
-    (r, (Instr.now () -. t0) *. 1000.0)
+    (r, (Clock.now () -. t0) *. 1000.0)
   in
   match req with
   | Protocol.Query { src = qsrc; budget; explain = false; _ } -> begin
@@ -304,9 +304,9 @@ let server_json st =
   Json.Obj fields
 
 (* Per-request routing in listen mode. Connection threads all live on
-   the main domain, where SIGALRM budgets and the pool's DLS state are
-   shared — so anything that dispatches an engine MUST run on a worker
-   domain (where budgets are enforced by deadline polling), never on
+   the main domain and share its domain-local state (the budget
+   deadline among it) — so anything that dispatches an engine MUST run
+   on a worker domain, whose deadline is the request's own, never on
    the connection thread. Batch items fan out as independent futures
    on the shared pool ([Service.batch_srcs] would try to build a
    nested pool from inside a worker task); stats/persist/shutdown are
@@ -322,18 +322,18 @@ let listen_dispatch st req =
                handle_request st.service req)))
   | Protocol.Batch { id; srcs; budget; jobs = _ } ->
     read_locked st (fun () ->
-        let t0 = Instr.now () in
+        let t0 = Clock.now () in
         let futures =
           List.map
             (fun qsrc ->
               Rw_pool.Pool.async st.pool (fun () ->
-                  let t0 = Instr.now () in
+                  let t0 = Clock.now () in
                   let r = Service.query_src ?budget st.service qsrc in
-                  (r, (Instr.now () -. t0) *. 1000.0)))
+                  (r, (Clock.now () -. t0) *. 1000.0)))
             srcs
         in
         let results = List.map Rw_pool.Pool.await futures in
-        batch_reply ?id srcs results ((Instr.now () -. t0) *. 1000.0))
+        batch_reply ?id srcs results ((Clock.now () -. t0) *. 1000.0))
   | Protocol.Load_kb _ | Protocol.Session_update _ ->
     (* Both mutate the KB slot and walk the caches: exclusive access,
        like any writer. The revalidation walk's rules rechecks are
@@ -384,7 +384,7 @@ let emit_fd fd reply =
 let conn_loop st fd =
   let chunk = Bytes.create 8192 in
   let pending = Buffer.create 256 in
-  let last_activity = ref (Unix.gettimeofday ()) in
+  let last_activity = ref (Clock.now ()) in
   let process_line line =
     if String.trim line = "" then `Continue
     else begin
@@ -415,7 +415,7 @@ let conn_loop st fd =
   in
   let idle_expired () =
     match st.idle_timeout with
-    | Some t -> Unix.gettimeofday () -. !last_activity > t
+    | Some t -> Clock.now () -. !last_activity > t
     | None -> false
   in
   let rec loop () =
@@ -433,7 +433,7 @@ let conn_loop st fd =
           try Unix.read fd chunk 0 (Bytes.length chunk)
           with Unix.Unix_error _ -> 0
         in
-        last_activity := Unix.gettimeofday ();
+        last_activity := Clock.now ();
         if n = 0 then begin
           (* EOF. A non-empty remainder is a truncated NDJSON line —
              the client hung up (or shut down its write side) without

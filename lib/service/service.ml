@@ -3,6 +3,7 @@
 open Rw_logic
 open Randworlds
 module Trace = Rw_trace.Trace
+module Clock = Rw_prelude.Clock
 
 type config = {
   cache_capacity : int;
@@ -266,10 +267,7 @@ let store t = t.store
 (* The KB's conjunct list — the granularity at which sessions assert
    and retract. Matches the unary analyser's split, so the session's
    reconstructed [Syntax.conj conjuncts] round-trips structurally. *)
-let rec split_conjuncts = function
-  | Syntax.And (f, g) -> split_conjuncts f @ split_conjuncts g
-  | Syntax.True -> []
-  | f -> [ f ]
+let split_conjuncts = Rw_unary.Analysis.split_conjuncts
 
 let log_event t ev = t.session_log_rev <- ev :: t.session_log_rev
 
@@ -281,7 +279,7 @@ let log_event t ev = t.session_log_rev <- ev :: t.session_log_rev
    keeps everything — the entries are still valid. *)
 let load_kb t kb =
   Mutex.protect t.session_m @@ fun () ->
-  let t0 = Instr.now () in
+  let t0 = Clock.now () in
   let before = t.kb_digest in
   let digest = Canonical.digest kb in
   let reclaimed =
@@ -316,7 +314,7 @@ let load_kb t kb =
         (if t.config.compiled_capacity <= 0 then "absent"
          else if before <> "" && before <> digest then "dropped"
          else "unchanged");
-      elapsed_ms = (Instr.now () -. t0) *. 1000.0;
+      elapsed_ms = (Clock.now () -. t0) *. 1000.0;
     }
 
 let load_kb_string t src =
@@ -343,74 +341,13 @@ let kb t = t.kb
 (* Budgets                                                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Timed_out
-
-(* Wall-clock preemption via SIGALRM: the handler raises from the next
-   allocation point, which every engine reaches constantly.
-
-   Three hazards this discipline has to survive:
-   - a {e stale alarm}: the timer fires in the window between [f]'s
-     last instruction and cancellation, leaving [Timed_out] pending in
-     the runtime to kill an unrelated later query;
-   - {e nested budgets}: [setitimer] replaces the caller's timer, so an
-     inner budget must re-arm the outer one (minus the time it spent)
-     on the way out;
-   - an exception escaping [f] before the timer is cancelled. *)
+(* The one budget mechanism: a deadline on the monotonic clock, polled
+   by the engines' inner loops ([Rw_pool.Budget.check] in the maxent
+   optimizer, the enumerator, the Monte-Carlo sampler and the profile
+   counter). Expiry can only surface at a poll, so it never interrupts
+   a cache insert or a memo fill. [Pool.map] and [Pool.async] carry the
+   deadline to every task, and a worker's [Expired] re-raises here. *)
 let with_budget budget ~fallback f =
-  match budget with
-  | None -> (f (), false)
-  | Some s when s <= 0.0 -> (fallback (), true)
-  | Some s -> (
-    let zero = { Unix.it_interval = 0.0; it_value = 0.0 } in
-    let started = Unix.gettimeofday () in
-    let old_handler =
-      Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
-    in
-    let old_timer =
-      Unix.setitimer Unix.ITIMER_REAL { zero with Unix.it_value = s }
-    in
-    let restore () =
-      (* Cancel first; retry if a last-instant alarm preempts the
-         cancellation itself. *)
-      let rec cancel () =
-        try ignore (Unix.setitimer Unix.ITIMER_REAL zero)
-        with Timed_out -> cancel ()
-      in
-      cancel ();
-      (* Drain an alarm that was delivered before the cancellation but
-         whose OCaml-level handler hasn't run yet: force an allocation
-         point while our handler is still installed and swallow the
-         resulting [Timed_out]. *)
-      (try ignore (Sys.opaque_identity (ref ())) with Timed_out -> ());
-      Sys.set_signal Sys.sigalrm old_handler;
-      (* Re-arm the caller's outer budget with its remaining time, so
-         nesting narrows budgets instead of destroying them. A fully
-         spent outer budget fires (almost) immediately rather than
-         being silently disarmed. *)
-      if old_timer.Unix.it_value > 0.0 then begin
-        let elapsed = Unix.gettimeofday () -. started in
-        let remaining = Float.max 1e-6 (old_timer.Unix.it_value -. elapsed) in
-        ignore
-          (Unix.setitimer Unix.ITIMER_REAL
-             { old_timer with Unix.it_value = remaining })
-      end
-    in
-    match Fun.protect ~finally:restore f with
-    | v -> (v, false)
-    | exception Timed_out -> (fallback (), true)
-    | exception Fun.Finally_raised Timed_out ->
-      (* The alarm preempted the glue between [f]'s return and
-         [restore]'s first catch — treat it as an expiry. *)
-      (fallback (), true))
-
-(* The deadline-polled twin of [with_budget], for code paths where the
-   alarm cannot work: on a pool worker SIGALRM is never delivered to
-   the right domain, and on a coordinator about to fan out (jobs > 1)
-   an asynchronous raise could fire inside the pool's own
-   mutex/condition machinery and corrupt it. Engines poll
-   [Rw_pool.Budget.check] in their inner loops; [Pool.map] propagates
-   the deadline to every task and re-raises a worker's [Expired] here. *)
-let with_budget_polled budget ~fallback f =
   match budget with
   | None -> (f (), false)
   | Some s when s <= 0.0 -> (fallback (), true)
@@ -576,7 +513,7 @@ let update ?src t action f =
   match t.kb with
   | None -> Error "no knowledge base loaded"
   | Some _ -> (
-    let t0 = Instr.now () in
+    let t0 = Clock.now () in
     let src = match src with Some s -> s | None -> Pretty.to_string f in
     let before = t.kb_digest in
     let action_s = match action with Assert -> "assert" | Retract -> "retract" in
@@ -608,7 +545,7 @@ let update ?src t action f =
       t.revalidated_total <- t.revalidated_total + revalidated;
       t.update_evicted_total <- t.update_evicted_total + evicted;
       t.seq <- t.seq + 1;
-      let elapsed_ms = (Instr.now () -. t0) *. 1000.0 in
+      let elapsed_ms = (Clock.now () -. t0) *. 1000.0 in
       log_event t
         {
           seq = t.seq;
@@ -728,19 +665,12 @@ let update_src t action src =
 
 let session_log t = Mutex.protect t.session_m (fun () -> List.rev t.session_log_rev)
 
-(* One budgeted engine run, choosing the alarm or the polled deadline
-   as [query] always has (see the two [with_budget] variants above).
-   The compiled artifact is fetched {e inside} the budgeted closure:
-   the first request against a KB pays the compile against its own
-   budget (degrading soundly if it expires mid-compile), later
-   requests hit the artifact cache. *)
+(* One budgeted engine run. The compiled artifact is fetched {e inside}
+   the budgeted closure: the first request against a KB pays the
+   compile against its own budget (degrading soundly if it expires
+   mid-dispatch), later requests hit the artifact cache. *)
 let run_engine ?trace ?budget t ~kb q =
-  let run_budget =
-    if Rw_pool.Pool.on_worker () || t.config.engine_options.Engine.jobs > 1
-    then with_budget_polled
-    else with_budget
-  in
-  run_budget budget
+  with_budget budget
     ~fallback:(fun () ->
       degraded_answer ~kb ~budget:(Option.value budget ~default:0.0) q)
     (fun () ->
@@ -755,7 +685,7 @@ let query ?budget t q =
     let budget =
       match budget with Some _ as b -> b | None -> t.config.budget
     in
-    let t0 = Instr.now () in
+    let t0 = Clock.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
     let answer, origin =
@@ -781,7 +711,7 @@ let query ?budget t q =
             (a, Computed)
           end)
     in
-    latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
+    latency_record t.latency ((Clock.now () -. t0) *. 1000.0);
     Ok (answer, origin)
 
 let query_src ?budget t src =
@@ -810,7 +740,7 @@ let query_explained ?budget t q =
     let budget =
       match budget with Some _ as b -> b | None -> t.config.budget
     in
-    let t0 = Instr.now () in
+    let t0 = Clock.now () in
     Atomic.incr t.queries;
     let key = cache_key t q in
     (* An entry that predates tracing (computed by a plain [query],
@@ -880,7 +810,7 @@ let query_explained ?budget t q =
             { answer = a; origin = Computed; trace = evs }
           end)
     in
-    latency_record t.latency ((Instr.now () -. t0) *. 1000.0);
+    latency_record t.latency ((Clock.now () -. t0) *. 1000.0);
     Ok result
 
 let query_src_explained ?budget t src =
@@ -910,9 +840,9 @@ let batch ?budget ?(jobs = 1) t qs =
 
 let batch_srcs ?budget ?(jobs = 1) t srcs =
   let one src =
-    let t0 = Instr.now () in
+    let t0 = Clock.now () in
     let r = query_src ?budget t src in
-    (r, (Instr.now () -. t0) *. 1000.0)
+    (r, (Clock.now () -. t0) *. 1000.0)
   in
   let jobs = batch_jobs t ~jobs (List.length srcs) in
   if jobs <= 1 then List.map one srcs

@@ -19,13 +19,10 @@
     expires mid-dispatch the request is answered by the rules engine's
     provably-sound interval instead (never cached, counted in
     [timeouts]). A non-positive budget degrades immediately — the
-    "shed load but stay sound" mode. Two enforcement mechanisms share
-    that contract: the strictly-sequential path uses a [SIGALRM] timer
-    ({!with_budget}); on a pool worker domain, or when the engine
-    options ask for a Monte-Carlo fan-out ([jobs > 1]), the signal
-    either cannot reach the working domain or could corrupt the pool,
-    so the budget becomes a {!Rw_pool.Budget} deadline polled from the
-    engines' inner loops instead.
+    "shed load but stay sound" mode. One mechanism enforces it on
+    every path ({!with_budget}): a {!Rw_pool.Budget} deadline on the
+    monotonic {!Rw_prelude.Clock}, polled from the engines' inner
+    loops, on the calling domain and on pool workers alike.
 
     A {!t} is domain-safe: the answer cache, latency ring and counters
     are synchronised, so {!batch} can fan queries out across a domain
@@ -336,13 +333,11 @@ val stats : t -> stats
 
 val with_budget :
   float option -> fallback:(unit -> 'a) -> (unit -> 'a) -> 'a * bool
-(** [with_budget budget ~fallback f] runs [f] under a [SIGALRM]
-    wall-clock budget; on expiry (or a non-positive budget) it runs
-    [fallback] instead and flags the degradation. [None] runs [f]
-    unbudgeted. The previous signal handler is restored either way, a
-    pending alarm delivered in the cancellation race window is drained
-    (so a stale alarm can never kill a later request), and an
-    enclosing budget's timer is re-armed with its remaining time —
-    nesting narrows budgets rather than destroying them. Used on the
-    strictly-sequential request path only; parallel paths poll
-    {!Rw_pool.Budget} deadlines instead (see the module docstring). *)
+(** [with_budget budget ~fallback f] runs [f] under a [budget]-second
+    {!Rw_pool.Budget} deadline; when a poll inside [f] finds it expired
+    (or the budget is non-positive) it runs [fallback] instead and
+    flags the degradation. [None] runs [f] unbudgeted. The deadline is
+    removed on the way out whatever happens, and nesting narrows: an
+    inner budget cannot outlive the outer one, and an inner expiry
+    leaves the outer budget running. The only budget implementation:
+    every query path goes through it. *)

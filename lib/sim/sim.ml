@@ -40,12 +40,9 @@ let sim_config =
     engine_options = sim_options;
   }
 
-(* Mirrors [Service]'s conjunct split — the shadow must use the same
+(* [Service]'s conjunct split — the shadow must use the same
    granularity the session layer mutates at. *)
-let rec split_conjuncts = function
-  | Syntax.And (f, g) -> split_conjuncts f @ split_conjuncts g
-  | Syntax.True -> []
-  | f -> [ f ]
+let split_conjuncts = Rw_unary.Analysis.split_conjuncts
 
 let zero_expected =
   {

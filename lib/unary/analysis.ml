@@ -25,11 +25,16 @@ type parts = {
   unsupported : formula list;  (** conjuncts outside the fragment *)
 }
 
-(** [split_conjuncts f] flattens a conjunction tree. *)
-let rec split_conjuncts = function
-  | And (f, g) -> split_conjuncts f @ split_conjuncts g
-  | True -> []
-  | f -> [ f ]
+(** [split_conjuncts f] flattens a conjunction tree, left to right, in
+    one accumulating pass (linear, where appending is quadratic on
+    left-nested trees). *)
+let split_conjuncts f =
+  let rec go acc = function
+    | And (f, g) -> go (go acc g) f
+    | True -> acc
+    | f -> f :: acc
+  in
+  go [] f
 
 (* The single constant occurring in f, if exactly one. *)
 let single_constant f =

@@ -269,7 +269,8 @@ let pr_n ?(log_prior = fun _ -> 0.0) ?table (parts : Analysis.parts) ~query ~n
     | _ ->
       Listx.iter_compositions n na (fun counts ->
           (* Budget poll per profile: compositions number in the millions
-             for wide universes, and worker domains see no SIGALRM. *)
+             for wide universes, and a poll is the only way a budget
+             can stop them. *)
           Rw_pool.Budget.check ();
           let prof = { universe = u; n; counts; const_atoms = [] } in
           let stat_ok =

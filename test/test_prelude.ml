@@ -1,5 +1,5 @@
 (* Tests for rw_prelude: float helpers, log-space arithmetic, intervals,
-   list utilities. *)
+   list utilities, the monotonic clock. *)
 
 open Rw_prelude
 
@@ -153,6 +153,23 @@ let test_misc_lists () =
   Alcotest.(check int) "all_subsets" 8 (List.length (Listx.all_subsets [ 1; 2; 3 ]));
   Alcotest.(check (list int)) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ])
 
+(* ------------------------------------------------------------------ *)
+(* Clock                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_clock_monotonic () =
+  let prev = ref (Clock.now ()) in
+  for _ = 1 to 100_000 do
+    let t = Clock.now () in
+    if t < !prev then Alcotest.failf "clock went back: %.9f after %.9f" t !prev;
+    prev := t
+  done;
+  let t0 = Clock.now () in
+  Unix.sleepf 0.01;
+  let dt = Clock.now () -. t0 in
+  if dt < 0.009 then
+    Alcotest.failf "clock advanced %.6f s over a 10 ms sleep" dt
+
 (* Property tests *)
 
 let prop_logspace_add_commutative =
@@ -190,6 +207,7 @@ let suite =
     ("listx.compositions", `Quick, test_compositions);
     ("listx.iter_compositions", `Quick, test_iter_compositions);
     ("listx.misc", `Quick, test_misc_lists);
+    ("clock.monotonic", `Quick, test_clock_monotonic);
     q prop_logspace_add_commutative;
     q prop_simplex_like_compositions;
   ]

@@ -441,6 +441,124 @@ let test_independence_split () =
   | Some v -> Alcotest.(check (float 1e-3)) "0.32" 0.32 v
   | None -> Alcotest.fail "no value"
 
+(* Brute-force reference for the Theorem 5.27 split: two conjuncts are
+   linked when they share a predicate/function symbol or a constant
+   other than the query's single allowed one; components are merged
+   pairwise to a fixpoint. Returns the components that hold a query
+   conjunct, each as (query conjuncts, KB conjuncts). *)
+let reference_split ~kb query =
+  let qs = Rw_unary.Analysis.split_conjuncts query in
+  let kbs = Rw_unary.Analysis.split_conjuncts kb in
+  let allowed = match Syntax.constants query with [ c ] -> [ c ] | _ -> [] in
+  let syms f =
+    let preds, funcs = Syntax.symbols f in
+    ( List.map (fun (p, _) -> "P:" ^ p) preds
+      @ List.filter_map
+          (fun (g, a) -> if a > 0 then Some ("F:" ^ g) else None)
+          funcs,
+      List.filter (fun c -> not (List.mem c allowed)) (Syntax.constants f) )
+  in
+  let linked f g =
+    let hf, cf = syms f and hg, cg = syms g in
+    List.exists (fun s -> List.mem s hg) hf
+    || List.exists (fun c -> List.mem c cg) cf
+  in
+  let comp_linked (q1, k1) (q2, k2) =
+    List.exists (fun f -> List.exists (linked f) (q2 @ k2)) (q1 @ k1)
+  in
+  let rec merge = function
+    | [] -> []
+    | c :: rest -> (
+      match List.partition (comp_linked c) rest with
+      | [], _ -> c :: merge rest
+      | hits, others ->
+        let q, k =
+          List.fold_left
+            (fun (q, k) (q', k') -> (q @ q', k @ k'))
+            c hits
+        in
+        merge ((q, k) :: others))
+  in
+  merge
+    (List.map (fun f -> ([ f ], [])) qs @ List.map (fun f -> ([], [ f ])) kbs)
+  |> List.filter (fun (q, _) -> q <> [])
+
+(* The one-pass split computes exactly the pairwise components, as
+   sets, over a few thousand generated cases; its groups come out in
+   the order of their first query conjunct. Queries are conjunctions
+   of two or three generated queries and a generated fact, so most
+   cases have several query conjuncts to split. *)
+let test_independence_split_reference () =
+  let sorted l = List.sort Stdlib.compare l in
+  let as_set groups =
+    sorted (List.map (fun (q, k) -> (sorted q, sorted k)) groups)
+  in
+  let splits = ref 0 in
+  for i = 0 to 2999 do
+    let case = Rw_fuzz.Gen.case ~seed:27 ~max_size:6 i in
+    let kb = Rw_fuzz.Gen.kb_formula case in
+    let rng = Rw_mc.Prng.create (1000 + i) in
+    let query =
+      Syntax.conj
+        (case.Rw_fuzz.Gen.query
+        :: Rw_fuzz.Gen.fact_of_rng rng
+        :: List.init (i mod 2 + 1) (fun _ -> Rw_fuzz.Gen.query_of_rng rng))
+    in
+    let expected = reference_split ~kb query in
+    match Engine.independence_split ~kb query with
+    | None ->
+      if List.length expected >= 2 then
+        Alcotest.failf "case %d: no split, reference has %d parts" i
+          (List.length expected)
+    | Some groups ->
+      incr splits;
+      let split = Rw_unary.Analysis.split_conjuncts in
+      let got = List.map (fun (q, k) -> (split q, split k)) groups in
+      if as_set got <> as_set expected then
+        Alcotest.failf "case %d: split differs from the pairwise reference" i;
+      let qs = split query in
+      let position f =
+        Option.get (Listx.find_index (fun g -> g == f) qs)
+      in
+      let firsts = List.map (fun (q, _) -> position (List.hd q)) got in
+      if firsts <> List.sort_uniq Int.compare firsts then
+        Alcotest.failf "case %d: groups not ordered by first query conjunct" i
+  done;
+  (* About one case in six splits; the sweep must not pass vacuously. *)
+  Alcotest.(check bool) "the sweep exercises real splits" true (!splits >= 100)
+
+(* The Theorem 5.27 split runs before any budget poll, so it must stay
+   linear in the KB: on a 2,000-individual KB a polled 50 ms budget
+   has to come back degraded well within a second. *)
+let test_independence_split_budgeted () =
+  let facts = List.init 2000 (fun i -> Printf.sprintf "Jaun(C%d)" i) in
+  let kb =
+    parse
+      (String.concat " /\\ "
+         ("||Hep(x) | Jaun(x)||_x ~=_1 0.8"
+         :: "||Hep(x) | Fever(x)||_x ~=_2 0.3" :: facts))
+  in
+  let svc =
+    Rw_service.Service.create
+      ~config:
+        {
+          Rw_service.Service.default_config with
+          Rw_service.Service.engine_options =
+            { Engine.default_options with Engine.jobs = 2 };
+        }
+      ()
+  in
+  Rw_service.Service.load_kb svc kb;
+  let t0 = Clock.now () in
+  let q = parse "Hep(C1) /\\ Hep(C2)" in
+  match Rw_service.Service.query ~budget:0.05 svc q with
+  | Error msg -> Alcotest.failf "query failed: %s" msg
+  | Ok (_, origin) ->
+    let dt = Clock.now () -. t0 in
+    Alcotest.(check bool) "degraded" true
+      (origin = Rw_service.Service.Degraded);
+    if dt >= 1.0 then Alcotest.failf "degraded after %.2f s (want < 1 s)" dt
+
 let suite =
   [
     ("answer.basics", `Quick, test_answer_basics);
@@ -468,6 +586,10 @@ let suite =
     ("defaults.saturate_nested", `Quick, test_saturate_nested_default);
     ("defaults.saturate_fixpoint", `Quick, test_saturate_fixpoint);
     ("engine.independence", `Quick, test_independence_split);
+    ("engine.independence_split_reference", `Quick,
+     test_independence_split_reference);
+    ("engine.independence_split_budgeted", `Quick,
+     test_independence_split_budgeted);
     ("engine.six_predicates", `Quick, test_six_predicates);
     ("engine.deep_hierarchy", `Slow, test_deep_hierarchy);
     ("engine.yale_priorities", `Slow, test_yale_priorities);

@@ -8,6 +8,7 @@ module Json = Rw_service.Json
 module Lru = Rw_service.Lru
 module Service = Rw_service.Service
 module Server = Rw_service.Server
+module Clock = Rw_prelude.Clock
 
 let parse s =
   match Parser.formula s with
@@ -321,85 +322,92 @@ let test_budget_zero_degrades () =
 (* A maxent-routed query (two constants in one query: no theorem of
    the rules engine applies, and they share a predicate, so the
    independence split does not either) under a budget far shorter than
-   its solves. With [jobs 2] the service polls its deadline instead of
-   arming SIGALRM, so only the optimizer's own poll can stop the
-   solve; the answer must come back degraded, not computed. *)
+   its solves. The budget is a polled deadline at every pool width, so
+   only the optimizer's own poll can stop the solve; the answer must
+   come back degraded, not computed. *)
 let test_budget_preempts_maxent () =
-  let svc =
-    Service.create
-      ~config:
-        {
-          Service.default_config with
-          Service.engine_options =
-            { Engine.default_options with Engine.jobs = 2 };
-        }
-      ()
-  in
-  Service.load_kb svc
-    (parse
-       "||Hep(x) | Jaun(x)||_x ~=_1 0.8 /\\ ||Hep(x) | Fever(x)||_x ~=_2 0.3 \
-        /\\ Jaun(Eric) /\\ Fever(Tom)");
-  let q = parse "Hep(Eric) /\\ Hep(Tom)" in
-  match Service.query ~budget:1e-6 svc q with
-  | Error msg -> Alcotest.failf "budgeted query failed: %s" msg
-  | Ok (a, o) ->
-    Alcotest.check origin "maxent solve preempted" Service.Degraded o;
-    Alcotest.(check string) "degraded answer is the rules engine's" "rules"
-      a.Answer.engine;
-    (* The expiry left no poisoned memo cell behind: unbudgeted, the
-       same service computes the answer. *)
-    let full, o2 = ask svc q in
-    Alcotest.check origin "recomputed without a budget" Service.Computed o2;
-    Alcotest.(check string) "maxent signs the full answer" "maxent"
-      full.Answer.engine
+  List.iter
+    (fun jobs ->
+      let svc =
+        Service.create
+          ~config:
+            {
+              Service.default_config with
+              Service.engine_options =
+                { Engine.default_options with Engine.jobs };
+            }
+          ()
+      in
+      Service.load_kb svc
+        (parse
+           "||Hep(x) | Jaun(x)||_x ~=_1 0.8 /\\ ||Hep(x) | Fever(x)||_x ~=_2 0.3 \
+            /\\ Jaun(Eric) /\\ Fever(Tom)");
+      let q = parse "Hep(Eric) /\\ Hep(Tom)" in
+      let label = Printf.sprintf "jobs %d: " jobs in
+      match Service.query ~budget:1e-6 svc q with
+      | Error msg -> Alcotest.failf "%sbudgeted query failed: %s" label msg
+      | Ok (a, o) ->
+        Alcotest.check origin (label ^ "maxent solve preempted")
+          Service.Degraded o;
+        Alcotest.(check string)
+          (label ^ "degraded answer is the rules engine's")
+          "rules" a.Answer.engine;
+        (* The expiry left no poisoned memo cell behind: unbudgeted,
+           the same service computes the answer. *)
+        let full, o2 = ask svc q in
+        Alcotest.check origin (label ^ "recomputed without a budget")
+          Service.Computed o2;
+        Alcotest.(check string) (label ^ "maxent signs the full answer")
+          "maxent" full.Answer.engine)
+    [ 1; 2 ]
 
-let test_with_budget_alarm () =
-  (* A genuinely expiring SIGALRM: spin (allocating, so the signal is
-     delivered) until either the alarm fires or a 5 s failsafe. *)
-  let t0 = Unix.gettimeofday () in
+(* A busy loop that polls the budget the way the engines' inner loops
+   do: a deadline can only fire at a [Budget.check]. *)
+let spin_for seconds =
+  let t0 = Clock.now () in
+  while Clock.now () -. t0 < seconds do
+    Rw_pool.Budget.check ()
+  done
+
+let no_deadline_left msg =
+  Alcotest.(check bool) msg true (Rw_pool.Budget.current () = None)
+
+let test_with_budget_expiry () =
+  (* A genuinely expiring budget: poll until either the deadline fires
+     or a 5 s failsafe. *)
+  let t0 = Clock.now () in
   let v, degraded =
     Service.with_budget (Some 0.05)
       ~fallback:(fun () -> "fallback")
       (fun () ->
-        let r = ref 0 in
-        while Unix.gettimeofday () -. t0 < 5.0 do
-          r := !r + List.length (List.init 10 Fun.id)
-        done;
+        spin_for 5.0;
         "completed")
   in
   Alcotest.(check string) "fallback ran" "fallback" v;
   Alcotest.(check bool) "flagged degraded" true degraded;
-  Alcotest.(check bool) "expired promptly" true
-    (Unix.gettimeofday () -. t0 < 4.0);
-  (* The timer and handler are restored: nothing fires afterwards. *)
+  Alcotest.(check bool) "expired promptly" true (Clock.now () -. t0 < 1.0);
+  no_deadline_left "deadline removed after expiry";
+  (* Nothing fires afterwards. *)
   let v2, degraded2 =
     Service.with_budget (Some 10.0) ~fallback:(fun () -> 0) (fun () -> 1)
   in
   Alcotest.(check int) "fast call completes" 1 v2;
   Alcotest.(check bool) "not degraded" false degraded2
 
-let spin_for seconds =
-  (* Allocating busy-wait, so a pending signal is delivered. *)
-  let t0 = Unix.gettimeofday () in
-  let r = ref 0 in
-  while Unix.gettimeofday () -. t0 < seconds do
-    r := !r + List.length (List.init 10 Fun.id)
-  done;
-  !r
-
-let test_with_budget_no_stale_alarm () =
-  (* A query that finishes just before its budget expires must not
-     leave a pending alarm behind to kill the next (fast, generously
-     budgeted) request. Run several near-expiry rounds to give the
-     race window real chances to occur. *)
+let test_with_budget_no_stale_state () =
+  (* A query that finishes just before its budget expires must leave
+     no deadline behind to kill the next (fast, generously budgeted)
+     request. Several near-expiry rounds, some finishing just inside
+     the budget and some just outside. *)
   for _ = 1 to 20 do
     let _, _ =
       Service.with_budget (Some 0.01)
         ~fallback:(fun () -> "fallback")
         (fun () ->
-          ignore (spin_for 0.0099);
+          spin_for 0.0099;
           "completed")
     in
+    no_deadline_left "no deadline after a near-expiry request";
     let v, degraded =
       Service.with_budget (Some 10.0)
         ~fallback:(fun () -> "fallback")
@@ -410,10 +418,10 @@ let test_with_budget_no_stale_alarm () =
   done
 
 let test_with_budget_nested () =
-  (* An inner budget wider than the outer one must not destroy the
-     outer timer: after the inner call returns, the outer budget's
-     remaining time is re-armed and still expires the outer request. *)
-  let t0 = Unix.gettimeofday () in
+  (* An inner budget wider than the outer one is narrowed to it: the
+     inner request expires with the outer deadline, and the outer one
+     still expires at its next poll. *)
+  let t0 = Clock.now () in
   let v, degraded =
     Service.with_budget (Some 0.1)
       ~fallback:(fun () -> "outer-fallback")
@@ -422,21 +430,22 @@ let test_with_budget_nested () =
           Service.with_budget (Some 10.0)
             ~fallback:(fun () -> "inner-fallback")
             (fun () ->
-              ignore (spin_for 0.3);
+              spin_for 5.0;
               "inner-done")
         in
-        Alcotest.(check string) "inner completes" "inner-done" inner;
-        Alcotest.(check bool) "inner not degraded" false inner_degraded;
-        (* Without the outer re-arm this spins to the 5 s failsafe. *)
-        ignore (spin_for 5.0);
+        Alcotest.(check string) "inner narrowed to the outer budget"
+          "inner-fallback" inner;
+        Alcotest.(check bool) "inner flagged degraded" true inner_degraded;
+        spin_for 5.0;
         "outer-done")
   in
   Alcotest.(check string) "outer degraded to fallback" "outer-fallback" v;
   Alcotest.(check bool) "outer flagged degraded" true degraded;
   Alcotest.(check bool) "outer expired promptly" true
-    (Unix.gettimeofday () -. t0 < 4.0);
+    (Clock.now () -. t0 < 1.0);
+  no_deadline_left "no deadline after the nested expiry";
   (* Inner expiry inside a healthy outer budget: the outer request
-     continues unharmed. *)
+     continues unharmed, still polling its own deadline. *)
   let v2, degraded2 =
     Service.with_budget (Some 10.0)
       ~fallback:(fun () -> "outer-fallback")
@@ -445,15 +454,17 @@ let test_with_budget_nested () =
           Service.with_budget (Some 0.05)
             ~fallback:(fun () -> "inner-fallback")
             (fun () ->
-              ignore (spin_for 5.0);
+              spin_for 5.0;
               "inner-done")
         in
         Alcotest.(check string) "inner degraded" "inner-fallback" inner;
         Alcotest.(check bool) "inner flagged" true inner_degraded;
+        spin_for 0.05;
         "outer-done")
   in
   Alcotest.(check string) "outer completes" "outer-done" v2;
-  Alcotest.(check bool) "outer not degraded" false degraded2
+  Alcotest.(check bool) "outer not degraded" false degraded2;
+  no_deadline_left "no deadline after the outer request"
 
 (* ------------------------------------------------------------------ *)
 (* Belief-change sessions                                             *)
@@ -746,10 +757,10 @@ let suite =
      test_budget_zero_degrades);
     ("service: polled budget preempts a maxent solve", `Quick,
      test_budget_preempts_maxent);
-    ("service: SIGALRM budget expiry", `Quick, test_with_budget_alarm);
-    ("service: no stale alarm after near-expiry request", `Quick,
-     test_with_budget_no_stale_alarm);
-    ("service: nested budgets restore the outer timer", `Quick,
+    ("service: polled budget expiry", `Quick, test_with_budget_expiry);
+    ("service: no stale deadline after near-expiry request", `Quick,
+     test_with_budget_no_stale_state);
+    ("service: nested budgets narrow to the outer deadline", `Quick,
      test_with_budget_nested);
     ("session: KB swap reclaims the old digest's entries", `Quick,
      test_session_swap_reclaims);
